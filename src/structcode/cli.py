@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success / positive answer, 1 negative answer (no embedding,
-Spoiler, incomplete decode), 2 budget exhausted, 3 input error. Reports are
-line-oriented key=value text and byte-identical across runs for identical
-invocations and seeds. STRUCTCODE_BUDGET overrides the default search
-budget.
+Spoiler, incomplete decode), 2 budget exhausted, 3 input error, 4 internal
+error (a crash, never reported as an answer). Reports are line-oriented
+key=value text and byte-identical across runs for identical invocations and
+seeds. STRUCTCODE_BUDGET overrides the default search budget.
 """
 
 from __future__ import annotations
@@ -431,6 +431,9 @@ def main(argv=None) -> int:
             coding.MalformedCoding, reduction.ContradictoryEvidence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a crash must not read as exit 1, a negative answer
+        print(f"error: internal: {type(exc).__name__}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

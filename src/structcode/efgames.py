@@ -2,11 +2,9 @@
 
 Two deliberately different algorithms answer the same question:
 
-* ef_winner explores the alternating game tree over pebble sequences, with
-  memoization and orbit pruning under automorphisms found by the search
-  module;
-* equiv_n evaluates the back-and-forth hierarchy on unordered partial maps,
-  with no automorphism machinery at all.
+* ef_winner explores the alternating game tree over ordered pebble
+  sequences, memoized per position;
+* equiv_n evaluates the back-and-forth hierarchy on unordered partial maps.
 
 Their agreement on small structures is one of the package's standing checks.
 """
@@ -14,10 +12,11 @@ Their agreement on small structures is one of the package's standing checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence, Union
 
 from .core import BudgetExhausted, DEFAULT_BUDGET, DiGraph, FinStructure
-from .search import _as_structure, _refine_colors, automorphisms
+from .search import _as_structure, _refine_colors
 
 DUPLICATOR = "Duplicator"
 SPOILER = "Spoiler"
@@ -54,19 +53,10 @@ def _pebbles_partial_iso(left: FinStructure, right: FinStructure,
             return False
     lefts = sorted(fwd)
     for name, arity in left.sig.relations:
-        for tup in _tuples_over(lefts, arity):
+        for tup in product(lefts, repeat=arity):
             if left.holds(name, tup) != right.holds(name, tuple(fwd[x] for x in tup)):
                 return False
     return True
-
-
-def _tuples_over(elems: Sequence[int], arity: int):
-    if arity == 0:
-        yield ()
-        return
-    for head in elems:
-        for rest in _tuples_over(elems, arity - 1):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -84,23 +74,7 @@ class GameSolver:
         self.right = right
         self.budget = budget
         self.states = 0
-        self.aut_left = [m.mapping() for m in automorphisms(left, budget=budget)]
-        self.aut_right = [m.mapping() for m in automorphisms(right, budget=budget)]
         self.memo: dict[tuple[tuple[tuple[int, int], ...], int], bool] = {}
-
-    @staticmethod
-    def _orbit_reps(universe: int, auts: list[dict[int, int]],
-                    fixed: frozenset[int]) -> list[int]:
-        stab = [a for a in auts if all(a[x] == x for x in fixed)]
-        reps = []
-        seen: set[int] = set()
-        for e in range(universe):
-            if e in seen:
-                continue
-            reps.append(e)
-            for a in stab:
-                seen.add(a[e])
-        return reps
 
     def _extended(self, pebbles, e: int, f: int):
         new = pebbles + ((e, f),)
@@ -118,27 +92,24 @@ class GameSolver:
         if k == 0:
             self.memo[key] = True
             return True
-        fixed_l = frozenset(l for l, _ in pebbles)
-        fixed_r = frozenset(r for _, r in pebbles)
-        left_reps = self._orbit_reps(self.left.size, self.aut_left, fixed_l)
-        right_reps = self._orbit_reps(self.right.size, self.aut_right, fixed_r)
+        lefts, rights = range(self.left.size), range(self.right.size)
         result = True
         # Spoiler moves on the left...
-        for e in left_reps:
+        for e in lefts:
             if not any(
                 (new := self._extended(pebbles, e, f)) is not None
                 and self.duplicator_wins(new, k - 1)
-                for f in right_reps
+                for f in rights
             ):
                 result = False
                 break
         # ... and on the right.
         if result:
-            for f in right_reps:
+            for f in rights:
                 if not any(
                     (new := self._extended(pebbles, e, f)) is not None
                     and self.duplicator_wins(new, k - 1)
-                    for e in left_reps
+                    for e in lefts
                 ):
                     result = False
                     break
@@ -172,42 +143,36 @@ def ef_trace(left: Structish, right: Structish, n: int,
             if ls.size == 0 and rs.size == 0:
                 break
             side, e = ("left", 0) if ls.size else ("right", 0)
-            response = None
-            for f in range(rs.size if side == "left" else ls.size):
-                pair = (e, f) if side == "left" else (f, e)
-                new = solver._extended(pebbles, *pair)
-                if new is not None and solver.duplicator_wins(new, k - 1):
-                    response, pebbles = f, new
-                    break
+            response, pebbles = _reply(solver, pebbles, side, e, k - 1)
             assert response is not None
         else:
-            found = None
-            for side, universe in (("left", ls.size), ("right", rs.size)):
-                for e in range(universe):
-                    others = rs.size if side == "left" else ls.size
-                    if not any(
-                        (new := solver._extended(
-                            pebbles, *((e, f) if side == "left" else (f, e))
-                        )) is not None and solver.duplicator_wins(new, k - 1)
-                        for f in range(others)
-                    ):
-                        found = (side, e)
-                        break
-                if found:
-                    break
-            assert found is not None
-            side, e = found
-            response = None
-            for f in range(rs.size if side == "left" else ls.size):
-                pair = (e, f) if side == "left" else (f, e)
-                new = solver._extended(pebbles, *pair)
-                if new is not None:
-                    response, pebbles = f, new
-                    break
+            side, e = next(
+                (side, e)
+                for side, universe in (("left", ls.size), ("right", rs.size))
+                for e in range(universe)
+                if _reply(solver, pebbles, side, e, k - 1)[0] is None
+            )
+            response, pebbles = _reply(solver, pebbles, side, e, None)
         trace.append((side, e, response))
         if response is None:
             break
     return winner, trace
+
+
+def _reply(solver: GameSolver, pebbles: tuple[tuple[int, int], ...], side: str,
+           e: int, rounds: Optional[int]) -> tuple[Optional[int], tuple[tuple[int, int], ...]]:
+    """Duplicator's least reply to Spoiler pebbling e on side.
+
+    The reply must keep a partial isomorphism and, unless rounds is None,
+    win the remaining rounds. Returns (reply, extended pebbles), or
+    (None, pebbles) when no reply qualifies.
+    """
+    others = solver.right.size if side == "left" else solver.left.size
+    for f in range(others):
+        new = solver._extended(pebbles, *((e, f) if side == "left" else (f, e)))
+        if new is not None and (rounds is None or solver.duplicator_wins(new, rounds)):
+            return f, new
+    return None, pebbles
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +208,7 @@ def equiv_n(left: Structish, right: Structish, n: int,
         fwd2[a] = b
         lefts = sorted(fwd2)
         for name, arity in ls.sig.relations:
-            for tup in _tuples_over(lefts, arity):
+            for tup in product(lefts, repeat=arity):
                 if a not in tup:
                     continue
                 if ls.holds(name, tup) != rs.holds(name, tuple(fwd2[x] for x in tup)):

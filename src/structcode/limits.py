@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import FinStructure, enum_string, xor_bits
+from .core import FinStructure, all_strings, enum_string, xor_bits
 from . import shelah
 
 S0 = "S0"
@@ -157,7 +157,7 @@ def stage_restriction(stage: StageStructure, nu_bound: int) -> FinStructure:
     index = {term: p for p, term in enumerate(stage.universe)}
     facts = set()
     fact_map = stage.fact_map()
-    for nu in _strings_upto(nu_bound):
+    for nu in all_strings(nu_bound):
         for term, p in index.items():
             if fact_map.get((nu, term), False):
                 facts.add((shelah.rel_name("R", nu), (p,)))
@@ -189,13 +189,3 @@ def decided_bound(stage: StageStructure) -> int:
     while (1 << (b + 2)) - 2 <= stage.stage and b + 1 <= stage.stage:
         b += 1
     return b
-
-
-def _strings_upto(max_len: int):
-    k = 0
-    while True:
-        s = enum_string(k)
-        if len(s) > max_len:
-            return
-        yield s
-        k += 1

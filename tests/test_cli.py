@@ -185,6 +185,16 @@ def test_missing_file_is_input_error():
     assert code == 3
 
 
+def test_internal_error_is_exit_4(files, monkeypatch, capsys):
+    def crash(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_iso", crash)
+    code, out = run_cli(["iso", "--left", files["k2.g"], "--right", files["k2.g"]])
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err == "error: internal: RecursionError\n"
+
+
 def test_budget_env_override(files, monkeypatch):
     monkeypatch.setenv("STRUCTCODE_BUDGET", "3")
     assert cli.default_budget() == 3

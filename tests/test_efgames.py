@@ -70,6 +70,22 @@ def test_pure_sets():
     assert ef_winner(two, three, 3) == SPOILER
 
 
+@pytest.mark.parametrize("make, a, b", [
+    (corpus.pure_set_structure, 8, 9),
+    (corpus.complete_graph_structure, 7, 8),
+])
+def test_symmetric_pairs_closed_form_within_budget(make, a, b):
+    # Duplicator wins n rounds iff the sizes are equal or both are >= n. A
+    # budget of 10,000 leaves no room to enumerate the 9! automorphisms of a
+    # 9-element set.
+    n = 3
+    left, right = make(a), make(b)
+    expected = DUPLICATOR if a == b or min(a, b) >= n else SPOILER
+    assert ef_winner(left, right, n, budget=10_000) == expected
+    assert equiv_n(left, right, n, budget=10_000) == (expected == DUPLICATOR)
+    assert ef_trace(left, right, n, budget=10_000)[0] == expected
+
+
 def test_identical_structures_duplicator_wins():
     rng = random.Random(5)
     for _ in range(10):
