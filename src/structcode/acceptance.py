@@ -385,20 +385,11 @@ def _oracle_embedding_check(src: FinStructure, target_oracle, images: list[int])
     if len(set(images)) != len(images):
         return False
     for name, arity in src.sig.relations:
-        for tup in _tuples(src.size, arity):
+        for tup in itertools.product(range(src.size), repeat=arity):
             mapped = tuple(images[x] for x in tup)
             if src.holds(name, tup) != target_oracle.holds(name, mapped):
                 return False
     return True
-
-
-def _tuples(n: int, arity: int):
-    if arity == 0:
-        yield ()
-        return
-    for head in range(n):
-        for rest in _tuples(n, arity - 1):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ arities always get zero offsets and hence the plain i+k shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import product
+from typing import Callable, Optional
 
 from .core import DiGraph, FinStructure, Morphism, Signature, adjacency, strongly_connected_components
 from .search import is_embedding
@@ -64,15 +65,6 @@ def interior_lengths(arity: int, offset: int) -> tuple[int, ...]:
     return tuple(offset + arity + k - 1 for k in range(1, arity + 1))
 
 
-def _tuples(n: int, arity: int) -> Iterator[tuple[int, ...]]:
-    if arity == 0:
-        yield ()
-        return
-    for head in range(n):
-        for rest in _tuples(n, arity - 1):
-            yield (head,) + rest
-
-
 def encode(s: FinStructure) -> CodedGraph:
     """Deterministic coding; vertex 0, 1, 2 are the hubs a, b, c."""
     offsets = chain_offsets(s.sig)
@@ -99,7 +91,7 @@ def encode(s: FinStructure) -> CodedGraph:
         edges.add((a, v))
 
     for name, arity in s.sig.relations:
-        for tup in _tuples(s.size, arity):
+        for tup in product(range(s.size), repeat=arity):
             y = alloc(("junction", name, tup))
             for k in range(1, arity + 1):
                 length = offsets[name] + arity + k - 1
@@ -287,7 +279,7 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
         sig = Signature(tuple((f"R{i}", i) for i in sorted(observed_arities)))
     size = len(elements)
     for name, arity in sig.relations:
-        for tup in _tuples(size, arity):
+        for tup in product(range(size), repeat=arity):
             if (name, tup) not in decided:
                 raise MalformedCoding(f"no gadget for {name}{tup}")
     extra = [fk for fk in decided if fk[0] not in sig or len(fk[1]) != sig.arity(fk[0])]
@@ -326,16 +318,17 @@ def canonical_iso(s: FinStructure) -> Morphism:
     return m
 
 
-def _map_role(role: Role, elem_map: dict[int, int]) -> Role:
+def map_role(role: Role, point_map: Callable[[int], int]) -> Role:
+    """Move a role's element codes through point_map; hub and cycle roles stay."""
     kind = role[0]
     if kind == "elem":
-        return ("elem", elem_map[role[1]])
+        return ("elem", point_map(role[1]))
     if kind == "chain":
         _, name, tup, k, pos = role
-        return ("chain", name, tuple(elem_map[x] for x in tup), k, pos)
+        return ("chain", name, tuple(point_map(x) for x in tup), k, pos)
     if kind == "junction":
         _, name, tup = role
-        return ("junction", name, tuple(elem_map[x] for x in tup))
+        return ("junction", name, tuple(point_map(x) for x in tup))
     return role
 
 
@@ -351,9 +344,9 @@ def encode_morphism(src: FinStructure, dst: FinStructure, h: Morphism) -> Morphi
     enc_src = encode(src)
     enc_dst = encode(dst)
     dst_vertex = enc_dst.vertex_of()
-    elem_map = h.mapping()
+    point_map = h.mapping().__getitem__
     mapping = {
-        v: dst_vertex[_map_role(role, elem_map)] for v, role in enc_src.provenance
+        v: dst_vertex[map_role(role, point_map)] for v, role in enc_src.provenance
     }
     m = Morphism.from_mapping(enc_src.graph.size, enc_dst.graph.size, mapping)
     if not is_graph_embedding(enc_src.graph, enc_dst.graph, m):

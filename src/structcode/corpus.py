@@ -7,6 +7,7 @@ identical corpora, which the CLI's determinism guarantee relies on.
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Optional
 
 from .core import DiGraph, FinStructure, Morphism, Signature
@@ -34,7 +35,7 @@ def random_structure(
     density = rng.choice((0.2, 0.5, 0.8))
     facts = set()
     for name, arity in sig.relations:
-        for tup in _tuples(size, arity):
+        for tup in product(range(size), repeat=arity):
             if rng.random() < density:
                 facts.add((name, tup))
     return FinStructure(sig, size, frozenset(facts))
@@ -138,12 +139,3 @@ def complete_graph_structure(n: int) -> FinStructure:
 def pure_set_structure(n: int) -> FinStructure:
     """n elements over the one-binary-relation signature, no facts."""
     return FinStructure(Signature.of(("E", 2)), n, frozenset())
-
-
-def _tuples(n: int, arity: int):
-    if arity == 0:
-        yield ()
-        return
-    for head in range(n):
-        for rest in _tuples(n, arity - 1):
-            yield (head,) + rest

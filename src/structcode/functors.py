@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence
 
 from .core import DiGraph, FinStructure, Morphism, restrict
-from .coding import CodedGraph, decode_full, encode, encode_morphism
+from .coding import CodedGraph, decode_full, encode, encode_morphism, map_role
 from .reduction import (
     DecodeIncomplete,
     build_f_graph,
@@ -129,18 +129,6 @@ class RoleMap:
         self._source_roles = source.roles()
         self._target_vertex = target.vertex_of()
 
-    def _transport(self, role: tuple) -> tuple:
-        kind = role[0]
-        if kind == "elem":
-            return ("elem", self.point_map(role[1]))
-        if kind == "chain":
-            _, name, tup, k, pos = role
-            return ("chain", name, tuple(self.point_map(x) for x in tup), k, pos)
-        if kind == "junction":
-            _, name, tup = role
-            return ("junction", name, tuple(self.point_map(x) for x in tup))
-        return role
-
     @staticmethod
     def _codes(role: tuple) -> tuple[int, ...]:
         if role[0] == "elem":
@@ -154,7 +142,7 @@ class RoleMap:
             role = e[1]
         else:
             role = self._source_roles[e]
-        moved = self._transport(role)
+        moved = map_role(role, self.point_map)
         if all(c < self.restrict_size for c in self._codes(moved)):
             return self._target_vertex[moved]
         return ("virtual", moved)

@@ -13,6 +13,7 @@ structure when the limit is 0 and the tail-1 one otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .core import FinStructure, all_strings, enum_string, xor_bits
@@ -65,14 +66,16 @@ class StageStructure:
     universe: tuple[str, ...]
     facts: tuple[tuple[tuple[str, str], bool], ...]
 
+    @cached_property
     def fact_map(self) -> dict[tuple[str, str], bool]:
+        """The facts as a dict, built on first use; read-only by convention."""
         return dict(self.facts)
 
     def holds(self, mu: str, term: str) -> bool:
-        return self.fact_map().get((mu, term), False)
+        return self.fact_map.get((mu, term), False)
 
     def decided(self, mu: str, term: str) -> bool:
-        return (mu, term) in self.fact_map()
+        return (mu, term) in self.fact_map
 
 
 def build_stage(approx: Approximation, i: int, s: int) -> StageStructure:
@@ -113,7 +116,7 @@ def is_substage(earlier: StageStructure, later: StageStructure) -> bool:
     """Universe inclusion plus agreement of every decided fact."""
     if not set(earlier.universe) <= set(later.universe):
         return False
-    late = later.fact_map()
+    late = later.fact_map
     return all(key in late and late[key] == val for key, val in earlier.facts)
 
 
@@ -156,7 +159,7 @@ def stage_restriction(stage: StageStructure, nu_bound: int) -> FinStructure:
     sig = shelah.tag_signature(nu_bound)
     index = {term: p for p, term in enumerate(stage.universe)}
     facts = set()
-    fact_map = stage.fact_map()
+    fact_map = stage.fact_map
     for nu in all_strings(nu_bound):
         for term, p in index.items():
             if fact_map.get((nu, term), False):

@@ -274,13 +274,11 @@ def decode_f(
     limit = scan_cap if oracle.num_elements is None else min(scan_cap, oracle.num_elements)
 
     vertices = []
-    handle_index: dict = {}
     for idx in range(limit):
         if len(vertices) >= k:
             break
         h = oracle.element(idx)
         if oracle.holds("W", (h,)):
-            handle_index[len(vertices)] = h
             vertices.append(h)
     if len(vertices) < k:
         raise DecodeIncomplete(

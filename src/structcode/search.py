@@ -8,7 +8,8 @@ BudgetExhausted instead of guessing when the node cap is hit.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Union
+from itertools import product
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .core import (
     BudgetExhausted,
@@ -138,40 +139,45 @@ class _Searcher:
             del bwd[t]
 
     def run(self, cap: Optional[int]) -> tuple[list[Morphism], bool]:
-        """Collect embeddings; cap=None means stop at the first one."""
+        """Collect embeddings; cap=None means stop at the first one.
+
+        Depth-first over self.order with an explicit stack of per-depth
+        candidate iterators, so the Python stack does not grow with the
+        source size.
+        """
         if not self.feasible:
             return [], True
         found: list[Morphism] = []
         fwd: dict[int, int] = {}
         bwd: dict[int, int] = {}
-        complete = True
-
-        def extend(depth: int) -> bool:
-            nonlocal complete
+        stack: list[Iterator[int]] = []
+        while True:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExhausted(f"embedding search exceeded {self.budget} nodes")
-            if depth == len(self.order):
+            if len(stack) == len(self.order):
                 if cap is not None and len(found) == cap:
-                    complete = False
-                    return True
+                    return found, False
                 found.append(Morphism.from_mapping(self.source.size, self.target.size, fwd))
-                return cap is None
-            x = self.order[depth]
-            for t in self.candidates[x]:
-                if t in bwd:
-                    continue
-                if self._consistent(fwd, bwd, x, t):
+                if cap is None:
+                    return found, True
+            else:
+                stack.append(iter(self.candidates[self.order[len(stack)]]))
+            # Move the deepest level to its next consistent candidate,
+            # dropping exhausted levels; an empty stack ends the search.
+            while stack:
+                x = self.order[len(stack) - 1]
+                if x in fwd:
+                    del bwd[fwd.pop(x)]
+                t = next((t for t in stack[-1]
+                          if t not in bwd and self._consistent(fwd, bwd, x, t)), None)
+                if t is not None:
                     fwd[x] = t
                     bwd[t] = x
-                    if extend(depth + 1):
-                        return True
-                    del fwd[x]
-                    del bwd[t]
-            return False
-
-        extend(0)
-        return found, complete
+                    break
+                stack.pop()
+            else:
+                return found, True
 
 
 def find_embedding(source: Structish, target: Structish,
@@ -240,7 +246,7 @@ def is_embedding(source: Structish, target: Structish, m: Morphism) -> bool:
         return False
     mapping = m.mapping()
     for name, arity in src.sig.relations:
-        for tup in _all_tuples(src.size, arity):
+        for tup in product(range(src.size), repeat=arity):
             image = tuple(mapping[x] for x in tup)
             if src.holds(name, tup) != dst.holds(name, image):
                 return False
@@ -249,12 +255,3 @@ def is_embedding(source: Structish, target: Structish, m: Morphism) -> bool:
 
 def is_isomorphism(a: Structish, b: Structish, m: Morphism) -> bool:
     return m.is_bijective() and is_embedding(a, b, m)
-
-
-def _all_tuples(n: int, arity: int) -> Iterable[tuple[int, ...]]:
-    if arity == 0:
-        yield ()
-        return
-    for head in range(n):
-        for rest in _all_tuples(n, arity - 1):
-            yield (head,) + rest

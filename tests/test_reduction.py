@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -146,18 +147,9 @@ def test_induced_embedding_transfers_facts():
         src = restrict(build_f_graph(g1), 20, rel_bound)
         target = build_f_graph(g2)
         for name, arity in src.sig.relations:
-            for tup in _tuples(src.size, arity):
+            for tup in product(range(src.size), repeat=arity):
                 mapped = tuple(point_map(x) for x in tup)
                 assert src.holds(name, tup) == target.holds(name, mapped)
-
-
-def _tuples(n, arity):
-    if arity == 0:
-        yield ()
-        return
-    for head in range(n):
-        for rest in _tuples(n, arity - 1):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------

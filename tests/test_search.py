@@ -4,6 +4,7 @@ import random
 import pytest
 
 from structcode import corpus
+from structcode.coding import encode, is_graph_embedding
 from structcode.core import BudgetExhausted, DiGraph, FinStructure, Signature
 from structcode.search import (
     automorphisms,
@@ -114,3 +115,16 @@ def test_automorphisms_of_clique():
 def test_budget_exhaustion_signals():
     with pytest.raises(BudgetExhausted):
         find_embedding(k(3), k(4), budget=2)
+
+
+def test_isomorphism_search_depth_does_not_recurse():
+    # The coding of this structure has 1,648 vertices; a search that
+    # recursed once per matched vertex ran past Python's default
+    # recursion limit here.
+    s = FinStructure.of(Signature.of(("R", 3)), 5,
+                        [("R", (0, 1, 2)), ("R", (2, 3, 4)), ("R", (4, 0, 1))])
+    g = encode(s).graph
+    assert g.size == 1648
+    m = find_isomorphism(g, g)
+    assert m is not None and m.is_bijective()
+    assert is_graph_embedding(g, g, m)
