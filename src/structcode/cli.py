@@ -345,7 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--restrict", type=int, default=30, help="number of points")
     p.add_argument("--nu-bound", type=int, default=1, help="max index-string length")
-    p.add_argument("--budget", type=int, default=budget, help="oracle query budget")
+    p.add_argument(
+        "--budget", type=int, default=budget,
+        help="budget in tuples swept (points^arity summed over the relations)",
+    )
     p.set_defaults(fn=cmd_reduce_f)
 
     p = sub.add_parser("decode-f", help="read a graph back off a reduction restriction")

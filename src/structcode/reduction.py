@@ -11,11 +11,12 @@ hunting for a generator trace inside each block.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import (
     AtomOracle,
     DiGraph,
+    Fact,
     Morphism,
     cantor_pair,
     cantor_unpair,
@@ -105,7 +106,9 @@ def build_f(edge_oracle: EdgeOracle) -> AtomOracle:
     """The reduction applied to an edge oracle, presented as an atom oracle.
 
     Element handles are the natural numbers themselves. The decider is pure
-    given a pure edge oracle.
+    given a pure edge oracle. The fact lister decomposes each handle once and
+    reads W, N and O off the vertex markers and blocks it finds, and the tag
+    relations off each block's elements.
     """
 
     def holds(name: str, tup: tuple) -> bool:
@@ -140,12 +143,47 @@ def build_f(edge_oracle: EdgeOracle) -> AtomOracle:
         ey = _block_elem(edge_oracle, dy[1], dy[2], dy[3])
         return shelah.holds_graphF(nu, ex, ey)
 
+    def facts(handles: list, rels: list[tuple[str, int]]) -> Iterator[Fact]:
+        index = {code: i for i, code in enumerate(handles)}
+        vertices: dict[int, int] = {}
+        blocks: dict[tuple[int, int], list[tuple[int, shelah.SElem]]] = {}
+        for i, code in enumerate(handles):
+            d = decompose(code)
+            if d[0] == "vertex":
+                vertices[d[1]] = i
+            else:
+                _, m, n, k = d
+                blocks.setdefault((m, n), []).append((i, _block_elem(edge_oracle, m, n, k)))
+        for name, _ in rels:
+            if name == "W":
+                yield from ((name, (i,)) for i in vertices.values())
+            elif name == "N":
+                for (m, _), members in blocks.items():
+                    if m in vertices:
+                        yield from ((name, (vertices[m], i)) for i, _ in members)
+            elif name == "O":
+                for (m, n), members in blocks.items():
+                    if m in vertices and n in vertices:
+                        yield from ((name, (vertices[m], vertices[n], i)) for i, _ in members)
+            else:
+                kind, nu = shelah.split_rel_name(name)
+                for (m, n), members in blocks.items():
+                    for i, e in members:
+                        if kind == "R":
+                            if shelah.holds_R(nu, e):
+                                yield name, (i,)
+                        else:
+                            image = block_code(m, n, shelah.elem_index(shelah.eval_F(nu, e)))
+                            if image in index:
+                                yield name, (i, index[image])
+
     return AtomOracle(
         relation=reduction_relation,
         element=lambda i: i,
         holds=holds,
         num_relations=None,
         num_elements=None,
+        facts=facts,
     )
 
 

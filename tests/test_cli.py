@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from contextlib import redirect_stdout
 
@@ -193,6 +194,26 @@ def test_internal_error_is_exit_4(files, monkeypatch, capsys):
     code, out = run_cli(["iso", "--left", files["k2.g"], "--right", files["k2.g"]])
     assert code == 4 and out == ""
     assert capsys.readouterr().err == "error: internal: RecursionError\n"
+
+
+def test_reduce_f_budget_checked_before_sweep(files, monkeypatch):
+    # 10^6 + 10^12 + 10^18 + ... tuples against a budget of 10^5: exit 2
+    # before any handle is built or any fact asked for
+    calls = []
+    build = cli.reduction.build_f_graph
+
+    def counted(g):
+        def count(*args):
+            calls.append(args)
+
+        return dataclasses.replace(build(g), element=count, holds=count, facts=count)
+
+    monkeypatch.setattr(cli.reduction, "build_f_graph", counted)
+    code, out = run_cli([
+        "reduce-f", "--graph", files["k2.g"], "--restrict", "1000000",
+        "--nu-bound", "3", "--budget", "100000",
+    ])
+    assert code == 2 and out == "" and calls == []
 
 
 def test_budget_env_override(files, monkeypatch):

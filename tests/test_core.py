@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from structcode import corpus
 from structcode.core import (
+    AtomOracle,
     BudgetExhausted,
     DiGraph,
     FinStructure,
@@ -194,6 +195,29 @@ def test_restrict_budget():
         restrict(oracle_of_structure(s), s.size, query_budget=0)
 
 
+def test_restrict_budget_checked_before_any_query():
+    # 3 + 9 + 27 = 39 tuples against a budget of 38: a sweep would ask 38
+    # queries before giving up, but the count is checked before any element
+    # is built or any query made
+    calls = []
+
+    def holds(name, tup):
+        calls.append((name, tup))
+        return True
+
+    def element(i):
+        calls.append(("element", i))
+        return i
+
+    oracle = AtomOracle(
+        relation=lambda i: (f"R{i}", i + 1), element=element, holds=holds, num_relations=3,
+    )
+    with pytest.raises(BudgetExhausted, match="restrict exceeded 38 oracle queries"):
+        restrict(oracle, 3, query_budget=38)
+    assert calls == []
+    assert len(restrict(oracle, 3, query_budget=39).facts) == 39
+
+
 # ---------------------------------------------------------------------------
 # text formats
 
@@ -260,6 +284,11 @@ def test_simple_cycles_enumeration():
 def test_simple_cycles_none_in_dag():
     g = DiGraph.of(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     assert simple_cycles(g) == []
+
+
+def test_simple_cycles_long_cycle_does_not_recurse():
+    g = DiGraph.of(3000, [(i, (i + 1) % 3000) for i in range(3000)])
+    assert simple_cycles(g) == [tuple(range(3000))]
 
 
 def test_structure_of_graph():

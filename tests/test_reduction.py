@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 
@@ -230,3 +231,23 @@ def test_decode_against_finite_restriction_oracle():
     cap = block_code(2, 2, 0) + 1
     s = restrict(build_f_graph(g), cap, reduction_rel_bound(2))
     assert decode_f(oracle_of_structure(s), 3, nu_bound=2, budget=50) == g
+
+
+# ---------------------------------------------------------------------------
+# the fact lister against the decider sweep
+
+
+@pytest.mark.parametrize("points", [0, 1, 7, 30, 45])
+def test_listed_facts_match_decider_sweep(points):
+    # restrict takes the reduction's facts from its lister; with the lister
+    # removed it asks holds on every tuple, the reference
+    rng = random.Random(7)  # draws a 2-vertex graph and a 6-vertex one with 25 edges
+    graphs = [DiGraph.of(0), DiGraph.of(2, [(0, 1), (1, 0)])]
+    graphs += [corpus.random_graph(rng, max_size=6) for _ in range(2)]
+    for g in graphs:
+        oracle = build_f_graph(g)
+        assert oracle.facts is not None
+        brute = dataclasses.replace(oracle, facts=None)
+        for nu_bound in range(4):
+            rel_bound = reduction_rel_bound(nu_bound)
+            assert restrict(oracle, points, rel_bound) == restrict(brute, points, rel_bound)
