@@ -16,7 +16,17 @@ DEFAULT_BUDGET = 10 ** 7
 
 
 class BudgetExhausted(Exception):
-    """A bounded search or oracle scan ran out of its state/query budget."""
+    """A bounded search or oracle scan ran out of its state/query budget.
+
+    used is the count that went over the budget (nodes, states, maps or
+    tuples) and budget the bound it passed; both are None when the raiser
+    does not give them.
+    """
+
+    def __init__(self, *args, used: Optional[int] = None, budget: Optional[int] = None):
+        super().__init__(*args)
+        self.used = used
+        self.budget = budget
 
 
 class ParseError(Exception):
@@ -37,12 +47,13 @@ def cantor_pair(m: int, n: int) -> int:
     return (m + n) * (m + n + 1) // 2 + n
 
 
-# decode_f and the point-by-point checks unpair the same few codes over and
-# over: C7 makes 24.6M calls on 1,919 distinct codes, and the
-# reduction-oracle benchmark decides 197 instances/s with this cache against
-# 151/s without it (medians of 5 alternating runs, 2-core VM, Python 3.11.7).
-# Each scan works on a handful of codes at a time, so 1,024 entries miss on
-# only 0.5% of C7's calls.
+# C7's point-by-point reference check asks the reduction oracle's holds on
+# the same few codes over and over: 19.9M calls, of which 1,024 entries miss
+# 121,030 (0.6%). C7 takes 12.8-14.9 s with this cache and 15.3-18.5 s
+# without it (3 alternating runs, 2-core VM, Python 3.11.7). restrict and
+# decode_f list facts, decomposing each point once, so the reduction-oracle
+# benchmark no longer gains from it (378 verdicts/s with, 386 without,
+# medians of 6 alternating runs).
 @lru_cache(maxsize=1024)
 def cantor_unpair(z: int) -> tuple[int, int]:
     """Inverse of cantor_pair."""
@@ -201,16 +212,17 @@ def structure_of_graph(g: DiGraph) -> FinStructure:
 
 def adjacency(g: DiGraph) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
     """(out, in) adjacency lists, every vertex present, neighbor lists sorted."""
-    out: dict[int, list[int]] = {v: [] for v in range(g.size)}
-    inn: dict[int, list[int]] = {v: [] for v in range(g.size)}
-    for u, v in g.edges:
+    return _successors(g.size, g.edges), _successors(g.size, [(v, u) for u, v in g.edges])
+
+
+def _successors(size: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """Sorted successor lists of every vertex in range(size)."""
+    out: dict[int, list[int]] = {v: [] for v in range(size)}
+    for u, v in edges:
         out[u].append(v)
-        inn[v].append(u)
     for lst in out.values():
         lst.sort()
-    for lst in inn.values():
-        lst.sort()
-    return out, inn
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +313,8 @@ class AtomOracle:
     facts(handles, rels) takes distinct handles and (name, arity) pairs and
     returns every (name, index tuple) with name among rels for which holds
     is true on the handles at those indices. It must agree with holds on
-    every tuple of the given handles; restrict trusts it without asking
-    holds.
+    every tuple of the given handles; restrict and reduction.decode_f trust
+    it without asking holds.
     """
 
     relation: Callable[[int], tuple[str, int]]
@@ -357,8 +369,11 @@ def restrict(
     rels = oracle.relations(rel_bound)
     sig = Signature(tuple(rels))
     cap = oracle.element_count(n)
-    if query_budget is not None and sum(cap ** arity for _, arity in rels) > query_budget:
-        raise BudgetExhausted(f"restrict exceeded {query_budget} oracle queries")
+    tuples = sum(cap ** arity for _, arity in rels)
+    if query_budget is not None and tuples > query_budget:
+        raise BudgetExhausted(
+            f"restrict exceeded {query_budget} oracle queries", used=tuples, budget=query_budget
+        )
     handles = oracle.elements(n)
     if oracle.facts is not None:
         return FinStructure(sig, cap, frozenset(oracle.facts(handles, rels)))
@@ -558,14 +573,17 @@ def load_any(text: str) -> FinStructure | DiGraph:
 
 def strongly_connected_components(g: DiGraph) -> list[list[int]]:
     """Tarjan's algorithm, iterative; components in reverse topological order."""
-    out, _ = adjacency(g)
+    return _components(g.size, _successors(g.size, g.edges))
+
+
+def _components(size: int, out: dict[int, list[int]]) -> list[list[int]]:
     index_of: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
-    for root in range(g.size):
+    for root in range(size):
         if root in index_of:
             continue
         work = [(root, iter(out[root]))]
@@ -615,14 +633,14 @@ def simple_cycles(g: DiGraph) -> list[tuple[int, ...]]:
     of simple paths rather than of cycles, which on dense SCCs is far larger.
     Output is sorted, so it is deterministic and usable as a test oracle.
     """
-    out, _ = adjacency(g)
+    out = _successors(g.size, g.edges)
     cycles: list[tuple[int, ...]] = []
     if g.allow_loops:
         for u, v in g.edges:
             if u == v:
                 cycles.append((u,))
 
-    for comp in strongly_connected_components(g):
+    for comp in _components(g.size, out):
         if len(comp) < 2:
             continue
         comp_set = set(comp)

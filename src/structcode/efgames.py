@@ -88,7 +88,9 @@ class GameSolver:
             return self.memo[key]
         self.states += 1
         if self.states > self.budget:
-            raise BudgetExhausted(f"game search exceeded {self.budget} states")
+            raise BudgetExhausted(
+                f"game search exceeded {self.budget} states", used=self.states, budget=self.budget
+            )
         if k == 0:
             self.memo[key] = True
             return True
@@ -227,7 +229,7 @@ def equiv_n(left: Structish, right: Structish, n: int,
             return memo[key]
         visited += 1
         if visited > budget:
-            raise BudgetExhausted(f"hierarchy exceeded {budget} maps")
+            raise BudgetExhausted(f"hierarchy exceeded {budget} maps", used=visited, budget=budget)
         if k == 0:
             memo[key] = True
             return True

@@ -145,15 +145,18 @@ def build_f(edge_oracle: EdgeOracle) -> AtomOracle:
 
     def facts(handles: list, rels: list[tuple[str, int]]) -> Iterator[Fact]:
         index = {code: i for i, code in enumerate(handles)}
+        # block elements are only needed for the tag relations
+        tagged = any(name not in ("W", "N", "O") for name, _ in rels)
         vertices: dict[int, int] = {}
-        blocks: dict[tuple[int, int], list[tuple[int, shelah.SElem]]] = {}
+        blocks: dict[tuple[int, int], list[tuple[int, Optional[shelah.SElem]]]] = {}
         for i, code in enumerate(handles):
             d = decompose(code)
             if d[0] == "vertex":
                 vertices[d[1]] = i
             else:
                 _, m, n, k = d
-                blocks.setdefault((m, n), []).append((i, _block_elem(edge_oracle, m, n, k)))
+                e = _block_elem(edge_oracle, m, n, k) if tagged else None
+                blocks.setdefault((m, n), []).append((i, e))
         for name, _ in rels:
             if name == "W":
                 yield from ((name, (i,)) for i in vertices.values())
@@ -302,7 +305,9 @@ def decode_f(
 
     Edge (m, n) is declared exactly when the block of (a_m, a_n) classifies
     as S0. Raises DecodeIncomplete (carrying the partial graph) if any block
-    stays Unknown within the bounds, rather than guessing.
+    stays Unknown within the bounds, rather than guessing. The W, O and R
+    facts come from oracle.facts when the oracle has it, otherwise from
+    asking holds point by point; both give the same answer.
     """
     assert k >= 0
     if k == 0:
@@ -310,6 +315,8 @@ def decode_f(
     if scan_cap is None:
         scan_cap = default_scan_cap(k)
     limit = scan_cap if oracle.num_elements is None else min(scan_cap, oracle.num_elements)
+    if oracle.facts is not None:
+        return _decode_listed(oracle, k, nu_bound, budget, limit)
 
     vertices = []
     for idx in range(limit):
@@ -347,6 +354,60 @@ def decode_f(
                     undecided.remove(pair)  # inspections spent, stays Unknown
                 break
 
+    return _decoded(k, decided)
+
+
+def _decode_listed(oracle: AtomOracle, k: int, nu_bound: int, budget: int, limit: int) -> DiGraph:
+    """decode_f on an oracle with a fact lister: one listing of W and O.
+
+    The vertex markers are the first k W points. Each point that is not a
+    W point and has O facts with undecided marker pairs is inspected for
+    the least of those pairs, as the decider loop does, and its trace is
+    listed rather than asked relation by relation.
+    """
+    handles = [oracle.element(i) for i in range(limit)]
+    w_points: set[int] = set()
+    o_facts = []
+    for name, tup in oracle.facts(handles, [("W", 1), ("O", 3)]):
+        if name == "W":
+            w_points.add(tup[0])
+        else:
+            o_facts.append(tup)
+    markers = sorted(w_points)[:k]
+    if len(markers) < k:
+        raise DecodeIncomplete(
+            [(m, n) for m in range(k) for n in range(k)], DiGraph.of(0)
+        )
+    vertex = {idx: m for m, idx in enumerate(markers)}
+    pairs_at: dict[int, list[tuple[int, int]]] = {}
+    for x, y, j in o_facts:
+        if x in vertex and y in vertex and j not in w_points:
+            pairs_at.setdefault(j, []).append((vertex[x], vertex[y]))
+
+    r_rels = [(shelah.rel_name("R", enum_string(i)), 1) for i in range((1 << (nu_bound + 1)) - 1)]
+    undecided = {(m, n) for m in range(k) for n in range(k)}
+    decided: dict[tuple[int, int], str] = {}
+    inspected: dict[tuple[int, int], int] = {}
+    for j in sorted(pairs_at) if budget > 0 else ():
+        if not undecided:
+            break
+        live = [pair for pair in pairs_at[j] if pair in undecided]
+        if not live:
+            continue
+        pair = min(live)
+        inspected[pair] = inspected.get(pair, 0) + 1
+        trace = {shelah.split_rel_name(name)[1] for name, _ in oracle.facts([handles[j]], r_rels)}
+        tag = _judge_trace(trace, nu_bound, handles[j])
+        if tag is not None:
+            decided[pair] = tag
+            undecided.remove(pair)
+        elif inspected[pair] >= budget:
+            undecided.remove(pair)  # inspections spent, stays Unknown
+    return _decoded(k, decided)
+
+
+def _decoded(k: int, decided: dict[tuple[int, int], str]) -> DiGraph:
+    """The graph of the S0 blocks, or DecodeIncomplete naming the rest."""
     edges = {pair for pair, tag in decided.items() if tag == S0}
     graph = DiGraph.of(k, edges, allow_loops=any(u == v for u, v in edges))
     leftover = sorted(

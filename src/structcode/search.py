@@ -154,7 +154,10 @@ class _Searcher:
         while True:
             self.nodes += 1
             if self.nodes > self.budget:
-                raise BudgetExhausted(f"embedding search exceeded {self.budget} nodes")
+                raise BudgetExhausted(
+                    f"embedding search exceeded {self.budget} nodes",
+                    used=self.nodes, budget=self.budget,
+                )
             if len(stack) == len(self.order):
                 if cap is not None and len(found) == cap:
                     return found, False

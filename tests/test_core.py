@@ -218,6 +218,18 @@ def test_restrict_budget_checked_before_any_query():
     assert len(restrict(oracle, 3, query_budget=39).facts) == 39
 
 
+def test_restrict_budget_exhaustion_reports_tuples():
+    s = corpus.random_structure(random.Random(0), max_size=4)
+    tuples = sum(s.size ** arity for _, arity in s.sig.relations)
+    with pytest.raises(BudgetExhausted) as err:
+        restrict(oracle_of_structure(s), s.size, query_budget=tuples - 1)
+    assert str(err.value) == f"restrict exceeded {tuples - 1} oracle queries"
+    assert (err.value.used, err.value.budget) == (tuples, tuples - 1)
+    # raisers that give no counts leave them unset
+    plain = BudgetExhausted("out of budget")
+    assert str(plain) == "out of budget" and (plain.used, plain.budget) == (None, None)
+
+
 # ---------------------------------------------------------------------------
 # text formats
 

@@ -155,6 +155,20 @@ def test_budget_exhaustion():
         equiv_n(K3, K3, 3, budget=3)
 
 
+def test_game_budget_exhaustion_reports_states():
+    with pytest.raises(BudgetExhausted) as err:
+        ef_winner(K3, K3, 3, budget=3)
+    assert str(err.value) == "game search exceeded 3 states"
+    assert (err.value.used, err.value.budget) == (4, 3)
+
+
+def test_hierarchy_budget_exhaustion_reports_maps():
+    with pytest.raises(BudgetExhausted) as err:
+        equiv_n(K3, K3, 3, budget=3)
+    assert str(err.value) == "hierarchy exceeded 3 maps"
+    assert (err.value.used, err.value.budget) == (4, 3)
+
+
 # ---------------------------------------------------------------------------
 # traces
 

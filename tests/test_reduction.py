@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from structcode import corpus, shelah
-from structcode.core import AtomOracle, DiGraph, Morphism, restrict
+from structcode.core import (
+    AtomOracle,
+    DiGraph,
+    FinStructure,
+    Morphism,
+    Signature,
+    oracle_of_structure,
+    restrict,
+)
 from structcode.reduction import (
     S0,
     S1,
@@ -17,6 +25,7 @@ from structcode.reduction import (
     block_type,
     build_f_graph,
     classify_block,
+    default_scan_cap,
     decode_f,
     decompose,
     graph_edge_oracle,
@@ -251,3 +260,95 @@ def test_listed_facts_match_decider_sweep(points):
         for nu_bound in range(4):
             rel_bound = reduction_rel_bound(nu_bound)
             assert restrict(oracle, points, rel_bound) == restrict(brute, points, rel_bound)
+
+
+def _sweeping_lister(holds):
+    """A fact lister that asks holds on every tuple of the handles."""
+
+    def facts(handles, rels):
+        for name, arity in rels:
+            for tup in product(range(len(handles)), repeat=arity):
+                if holds(name, tuple(handles[i] for i in tup)):
+                    yield name, tup
+
+    return facts
+
+
+def _decode_outcome(oracle, k, **kwargs):
+    try:
+        return decode_f(oracle, k, **kwargs)
+    except DecodeIncomplete as err:
+        return "incomplete", err.pairs, err.partial
+    except ContradictoryEvidence as err:
+        return "contradiction", str(err)
+
+
+def _no_holds(name, tup):
+    raise AssertionError(f"holds asked {name}{tup} on the listing path")
+
+
+def test_listed_decode_matches_decider_loop():
+    # decode_f reads the reduction's W, O and R facts off its lister; with
+    # the lister removed it runs the decider loop, the reference
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(300):
+        size = rng.randint(0, 6)
+        g = DiGraph.of(size, [(u, v) for u in range(size) for v in range(size)
+                              if u != v and rng.random() < 0.4])
+        k = rng.randint(0, size + 1)
+        kwargs = dict(
+            nu_bound=rng.randint(1, 3),
+            budget=rng.choice([0, 1, 2, 50]),
+            scan_cap=rng.choice([None, rng.randint(0, default_scan_cap(k) + 20)]),
+        )
+        oracle = dataclasses.replace(build_f_graph(g), holds=_no_holds)
+        listed = _decode_outcome(oracle, k, **kwargs)
+        assert listed == _decode_outcome(
+            dataclasses.replace(build_f_graph(g), facts=None), k, **kwargs
+        )
+        outcomes.add(listed[0] if isinstance(listed, tuple) else "graph")
+    assert outcomes == {"graph", "incomplete"}
+
+
+def test_listed_decode_signals_contradiction():
+    oracle = _lying_oracle()
+    listing = dataclasses.replace(oracle, facts=_sweeping_lister(oracle.holds))
+    with pytest.raises(ContradictoryEvidence, match="element 1 carries both"):
+        decode_f(listing, 2, nu_bound=3)
+    assert _decode_outcome(listing, 2) == _decode_outcome(oracle, 2)
+
+
+def _pair_rule_structure() -> FinStructure:
+    """A non-conforming decode input on 9 points, traces at nu_bound 1.
+
+    W points 1, 2 and 4 (markers a0, a1, a2). Point 0 has O with three
+    marker pairs, point 3 an indecisive trace, W point 4 an O fact and an
+    S1 trace of its own, and point 8 both generator traces under the pair
+    (a2, a2).
+    """
+    sig = Signature.of(("W", 1), ("O", 3), ("R_", 1), ("R_0", 1), ("R_1", 1))
+    facts = [("W", (x,)) for x in (1, 2, 4)]
+    o_facts = {0: [(1, 2), (2, 1), (1, 1)], 3: [(1, 2), (2, 1)], 4: [(1, 2)],
+               5: [(1, 2), (2, 1)], 6: [(2, 1), (2, 2)], 7: [(2, 2)], 8: [(4, 4)]}
+    facts += [("O", (x, y, j)) for j, pairs in o_facts.items() for x, y in pairs]
+    traces = {0: "0", 3: "", 4: "1", 5: "0", 6: "1", 7: "1", 8: "01"}
+    for j, bits in traces.items():
+        facts += [("R_", (j,))] + [(f"R_{b}", (j,)) for b in bits]
+    return FinStructure.of(sig, 9, facts)
+
+
+@pytest.mark.parametrize("k, budget, expected", [
+    # each point goes to its least undecided marker pair; W point 4 is skipped
+    (2, 2, DiGraph.of(2, [(0, 0), (0, 1)], allow_loops=True)),
+    # (a0, a1) spends its one inspection on point 3, so point 5 goes to (a1, a0)
+    (2, 1, ("incomplete", [(0, 1)], DiGraph.of(2, [(0, 0), (1, 0)], allow_loops=True))),
+    # point 8's O fact names a marker only once a2 is one
+    (3, 2, ("contradiction", "element 8 carries both generator traces")),
+    (4, 2, ("incomplete", [(m, n) for m in range(4) for n in range(4)], DiGraph.of(0))),
+])
+def test_decode_pair_assignment_rule(k, budget, expected):
+    oracle = oracle_of_structure(_pair_rule_structure())
+    listing = dataclasses.replace(oracle, facts=_sweeping_lister(oracle.holds))
+    assert _decode_outcome(oracle, k, nu_bound=1, budget=budget) == expected
+    assert _decode_outcome(listing, k, nu_bound=1, budget=budget) == expected

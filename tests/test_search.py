@@ -117,6 +117,13 @@ def test_budget_exhaustion_signals():
         find_embedding(k(3), k(4), budget=2)
 
 
+def test_budget_exhaustion_reports_nodes():
+    with pytest.raises(BudgetExhausted) as err:
+        find_embedding(k(3), k(4), budget=2)
+    assert str(err.value) == "embedding search exceeded 2 nodes"
+    assert (err.value.used, err.value.budget) == (3, 2)
+
+
 def test_isomorphism_search_depth_does_not_recurse():
     # The coding of this structure has 1,648 vertices; a search that
     # recursed once per matched vertex ran past Python's default
