@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Exit codes: 0 success / positive answer, 1 negative answer (no embedding,
-Spoiler, incomplete decode), 2 budget exhausted, 3 input error, 4 internal
-error (a crash, never reported as an answer). Reports are line-oriented
-key=value text and byte-identical across runs for identical invocations and
-seeds. STRUCTCODE_BUDGET overrides the default search budget.
+Spoiler, incomplete decode), 2 budget exhausted, 3 input error (a bad file
+or a bad argument), 4 internal error (a crash, never reported as an
+answer). Reports are line-oriented key=value text and byte-identical across
+runs for identical invocations and seeds. STRUCTCODE_BUDGET overrides the
+default search budget.
 """
 
 from __future__ import annotations
@@ -322,8 +323,37 @@ def cmd_corpus(args) -> int:
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as an input error: exit 3, since 2 means budget exhausted."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """A non-negative int: counts, sizes, bounds and budgets."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _bits(text: str) -> str:
+    """A 01-bit string, possibly empty."""
+    if not all(c in "01" for c in text):
+        raise argparse.ArgumentTypeError(f"expected a 01 bit string, got {text!r}")
+    return text
+
+
+def _pattern(text: str) -> str:
+    """A non-empty 01-bit string."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty 01 bit string")
+    return _bits(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="structcode",
         description="Codings between graphs and relational structures: "
         "encode/decode, reductions, EF games, embedding search, limit stages.",
@@ -343,62 +373,63 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce-f", help="finite restriction of the graph-to-blocks reduction")
     p.add_argument("--graph", required=True)
-    p.add_argument("--restrict", type=int, default=30, help="number of points")
-    p.add_argument("--nu-bound", type=int, default=1, help="max index-string length")
+    p.add_argument("--restrict", type=_count, default=30, help="number of points")
+    p.add_argument("--nu-bound", type=_count, default=1, help="max index-string length")
     p.add_argument(
-        "--budget", type=int, default=budget,
+        "--budget", type=_count, default=budget,
         help="budget in tuples swept (points^arity summed over the relations)",
     )
     p.set_defaults(fn=cmd_reduce_f)
 
     p = sub.add_parser("decode-f", help="read a graph back off a reduction restriction")
     p.add_argument("--structure", required=True, help="restriction in structure format")
-    p.add_argument("--vertices", type=int, required=True, help="vertices to recover")
-    p.add_argument("--nu-bound", type=int, default=3)
-    p.add_argument("--budget", type=int, default=50, help="trace inspections per block")
+    p.add_argument("--vertices", type=_count, required=True, help="vertices to recover")
+    p.add_argument("--nu-bound", type=_count, default=3)
+    p.add_argument("--budget", type=_count, default=50, help="trace inspections per block")
     p.set_defaults(fn=cmd_decode_f)
 
     p = sub.add_parser("ef", help="solve an n-round back-and-forth game")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--rounds", type=_count, required=True)
     p.add_argument("--trace", action="store_true", help="print one line of play")
     p.add_argument("--check", action="store_true", help="cross-validate with the hierarchy")
-    p.add_argument("--budget", type=int, default=budget)
+    p.add_argument("--budget", type=_count, default=budget)
     p.set_defaults(fn=cmd_ef)
 
     p = sub.add_parser("embed", help="search for an embedding")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--all", action="store_true", help="enumerate embeddings")
-    p.add_argument("--cap", type=int, default=100, help="enumeration cap with --all")
-    p.add_argument("--budget", type=int, default=budget)
+    p.add_argument("--cap", type=_count, default=100, help="enumeration cap with --all")
+    p.add_argument("--budget", type=_count, default=budget)
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("iso", help="search for an isomorphism")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--budget", type=int, default=budget)
+    p.add_argument("--budget", type=_count, default=budget)
     p.set_defaults(fn=cmd_iso)
 
     p = sub.add_parser("shelah", help="tag-structure operations")
     p.add_argument("action", choices=(
         "eval", "holds-r", "graphf", "enum", "closure", "trace", "reduct", "game"))
-    p.add_argument("--nu", default="", help="index bit string (empty for epsilon)")
+    p.add_argument("--nu", type=_bits, default="", help="index bit string (empty for epsilon)")
     p.add_argument("--elem", default=":0", help="element literal PREFIX:TAILBIT")
     p.add_argument("--other", default=":0", help="second element for graphf")
     p.add_argument("--tail", type=int, default=0, choices=(0, 1))
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--m", type=int, default=2, help="flip-above position")
-    p.add_argument("--rounds", type=int, default=2)
-    p.add_argument("--nu-bound", type=int, default=None)
-    p.add_argument("--log2-size", type=int, default=3)
+    p.add_argument("--count", type=_count, default=8)
+    p.add_argument("--bound", type=_count, default=3)
+    p.add_argument("--m", type=_count, default=2, help="flip-above position")
+    p.add_argument("--rounds", type=_count, default=2)
+    p.add_argument("--nu-bound", type=_count, default=None)
+    p.add_argument("--log2-size", type=_count, default=3)
     p.set_defaults(fn=cmd_shelah)
 
     p = sub.add_parser("limit-demo", help="stage-wise limit construction demo")
-    p.add_argument("--pattern", required=True, help="flip history bits, then constant")
-    p.add_argument("--stages", type=int, default=8)
+    p.add_argument("--pattern", type=_pattern, required=True,
+                   help="flip history bits, then constant")
+    p.add_argument("--stages", type=_count, default=8)
     p.set_defaults(fn=cmd_limit_demo)
 
     p = sub.add_parser("selftest", help="acceptance criteria and module checks")
@@ -408,14 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", dest="sections", action="store_const", const=["acceptance"],
                    help="run the full acceptance suite")
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    p.add_argument("--corpus-size", type=int, default=20)
+    p.add_argument("--corpus-size", type=_count, default=20)
     p.set_defaults(fn=cmd_selftest)
 
     p = sub.add_parser("corpus", help="emit a seeded random corpus")
     p.add_argument("--kind", choices=("structures", "graphs"), default="structures")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_count, default=10)
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--max-size", type=_count, default=4)
     p.add_argument("--out", help="directory for one file per item (default: stdout)")
     p.set_defaults(fn=cmd_corpus)
 
@@ -424,7 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a bad argument (3)
+        return exc.code
     try:
         return args.fn(args)
     except BudgetExhausted as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
 
-from .core import DiGraph, FinStructure, Morphism, Signature, adjacency, strongly_connected_components
+from .core import DiGraph, FinStructure, Morphism, Signature, _components, adjacency
 from .search import is_embedding
 
 Role = tuple
@@ -122,7 +122,7 @@ class DecodeResult:
 
 def _find_cycles(g: DiGraph, out: dict[int, list[int]], inn: dict[int, list[int]]):
     """The three tagged cycles as {tag: list of vertices in cycle order}."""
-    comps = [c for c in strongly_connected_components(g) if len(c) > 1]
+    comps = [c for c in _components(g.size, out) if len(c) > 1]
     if len(comps) != 3:
         raise MalformedCoding(f"expected 3 cycles, found {len(comps)} nontrivial components")
     by_tag: dict[int, list[int]] = {}

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Optional, Sequence, Union
 
 from .core import BudgetExhausted, DEFAULT_BUDGET, DiGraph, FinStructure
-from .search import _as_structure, _refine_colors
+from .search import _as_structure, _joint_colors, _profile
 
 DUPLICATOR = "Duplicator"
 SPOILER = "Spoiler"
@@ -188,15 +188,15 @@ def equiv_n(left: Structish, right: Structish, n: int,
     Computes membership of partial maps in the hierarchy level by level:
     a map is n-good iff every element on either side extends it to an
     (n-1)-good map. Maps are unordered sets of pairs, memoized per level.
-    Stable colors order response candidates (a heuristic only; the scan is
-    exhaustive).
+    Joint colours of both structures (search's refinement of their disjoint
+    union) put same-colour response candidates first; the order is a
+    heuristic only, and the scan is exhaustive.
     """
     ls, rs = _as_structure(left), _as_structure(right)
     if ls.sig != rs.sig:
         raise ValueError("structures must share a signature")
     assert n >= 0
-    lcol = _refine_colors(ls)
-    rcol = _refine_colors(rs)
+    lcol, rcol, _ = _joint_colors(ls, rs, _profile(ls), _profile(rs))
     memo: dict[tuple[frozenset[tuple[int, int]], int], bool] = {}
     visited = 0
 
@@ -217,7 +217,7 @@ def equiv_n(left: Structish, right: Structish, n: int,
                     return False
         return True
 
-    def candidates(universe: int, colors: dict[int, int], want: int) -> list[int]:
+    def candidates(universe: int, colors: list[int], want: int) -> list[int]:
         same = [e for e in range(universe) if colors[e] == want]
         rest = [e for e in range(universe) if colors[e] != want]
         return same + rest

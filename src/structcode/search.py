@@ -4,10 +4,17 @@ Embedding means the strong relational sense: an injective map that preserves
 and reflects every relation, i.e. an isomorphism onto an induced
 substructure. Searches are deterministic given their inputs and raise
 BudgetExhausted instead of guessing when the node cap is hit.
+
+Isomorphism search first refines the disjoint union of its two inputs to a
+stable colour partition, so colours compare across the two sides. It stops
+with "not isomorphic" at the first round whose colour histograms differ
+between the sides; otherwise each element may only map to elements of its
+own colour. Embedding search prunes by occurrence counts alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -55,30 +62,61 @@ def _dominates(big: tuple[tuple[str, int, int], ...], small: tuple[tuple[str, in
     return all(lookup.get((name, pos), 0) >= c for name, pos, c in small)
 
 
-def _canon_colors(keys: dict[int, object]) -> dict[int, int]:
-    """Replace comparable keys by dense ids, stable across processes."""
-    ranking = {k: rank for rank, k in enumerate(sorted(set(keys.values())))}
-    return {i: ranking[k] for i, k in keys.items()}
+def _joint_colors(a: FinStructure, b: FinStructure,
+                  profile_a: dict[int, tuple[tuple[str, int, int], ...]],
+                  profile_b: dict[int, tuple[tuple[str, int, int], ...]],
+                  ) -> tuple[list[int], list[int], bool]:
+    """Stable colour refinement of the disjoint union a + b.
 
-
-def _refine_colors(s: FinStructure, rounds: int = 4) -> dict[int, int]:
-    """Color refinement: iso-invariant vertex colors, used only for iso pruning."""
-    color = _canon_colors(dict(_profile(s)))
-    by_elem = _facts_by_elem(s)
-    for _ in range(rounds):
-        keys: dict[int, object] = {}
-        for i in range(s.size):
-            env = sorted(
-                (name, tuple(pos for pos, e in enumerate(tup) if e == i),
-                 tuple(color[e] for e in tup))
-                for name, tup in by_elem[i]
-            )
-            keys[i] = (color[i], tuple(env))
-        nxt = _canon_colors(keys)
-        if len(set(nxt.values())) == len(set(color.values())):
-            return nxt
-        color = nxt
-    return color
+    Returns (colors_a, colors_b, balanced). Colours are ids shared by both
+    sides, so an isomorphism maps each element to one of the same colour.
+    Before each round the two halves' colour histograms are compared;
+    balanced=False means they differed (so a and b are not isomorphic) and
+    the colours are those of the round that showed it. Otherwise the
+    refinement runs until no class splits. A round re-keys only the elements
+    that share a fact with an element whose colour changed in the previous
+    round (Paige & Tarjan 1987; Berkholz, Bonsma & Grohe 2013); the others'
+    surroundings are unchanged, so they keep their colour.
+    """
+    n = a.size
+    ids: dict[object, int] = {}
+    color = [ids.setdefault(p, len(ids))
+             for p in [*profile_a.values(), *profile_b.values()]]
+    incident: list[list[tuple[str, tuple[int, ...], tuple[int, ...]]]] = [
+        [] for _ in color]
+    for shift, s in ((0, a), (n, b)):
+        for name, tup in s.facts:
+            tup = tuple(x + shift for x in tup)
+            for x in set(tup):
+                incident[x].append((name, tuple(p for p, e in enumerate(tup) if e == x), tup))
+    class_size = Counter(color)
+    fresh = len(ids)
+    changed = range(len(color))
+    while True:
+        if Counter(color[:n]) != Counter(color[n:]):
+            return color[:n], color[n:], False
+        rekey = sorted({e for y in changed for _, _, tup in incident[y] for e in tup})
+        if not rekey:
+            return color[:n], color[n:], True
+        groups: dict[int, dict[tuple, list[int]]] = {}
+        for x in rekey:
+            env = tuple(sorted((name, pos, tuple([color[e] for e in tup]))
+                               for name, pos, tup in incident[x]))
+            groups.setdefault(color[x], {}).setdefault(env, []).append(x)
+        changed = []
+        for c, by_env in groups.items():
+            # Members not re-keyed keep the class id; if there are none,
+            # the first group keeps it. Every other group gets a fresh id.
+            members = iter(by_env.values())
+            if sum(map(len, by_env.values())) == class_size[c]:
+                next(members)
+            for group in members:
+                class_size[c] -= len(group)
+                class_size[fresh] = len(group)
+                for x in group:
+                    color[x] = fresh
+                changed.extend(group)
+                fresh += 1
 
 
 class _Searcher:
@@ -103,11 +141,8 @@ class _Searcher:
             self.order = list(range(source.size))
         self.candidates: dict[int, list[int]] = {}
         if iso:
-            src_color = _refine_colors(source)
-            dst_color = _refine_colors(target)
-            src_hist = sorted(src_color.values())
-            dst_hist = sorted(dst_color.values())
-            self.feasible = src_hist == dst_hist
+            src_color, dst_color, self.feasible = _joint_colors(
+                source, target, self.src_profile, self.dst_profile)
             for i in range(source.size):
                 self.candidates[i] = [
                     t for t in range(target.size)
@@ -196,7 +231,12 @@ def find_embedding(source: Structish, target: Structish,
 
 def find_isomorphism(a: Structish, b: Structish,
                      budget: int = DEFAULT_BUDGET) -> Optional[Morphism]:
-    """A bijective embedding, or None; color refinement prunes the search."""
+    """A bijective embedding, or None.
+
+    Joint colour refinement of a + b prunes the search: None without search
+    when the two sides' colour histograms differ at some round, otherwise
+    candidates restricted to the same stable colour.
+    """
     sa, sb = _as_structure(a), _as_structure(b)
     if sa.size != sb.size or len(sa.facts) != len(sb.facts):
         return None

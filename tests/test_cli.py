@@ -186,6 +186,21 @@ def test_missing_file_is_input_error():
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["shelah", "eval", "--nu", "2", "--elem", ":1"],
+    ["shelah", "holds-r", "--nu", "2x", "--elem", ":1"],
+    ["ef", "--left", "k2.g", "--right", "k3.g", "--rounds", "-1"],
+    ["limit-demo", "--pattern", ""],
+    ["corpus", "--count", "-1"],
+], ids=["eval-nu", "holds-r-nu", "ef-rounds", "limit-demo-pattern", "corpus-count"])
+def test_invalid_argument_is_input_error(files, argv, capsys):
+    # these used to print an answer (exit 0 or 1) or trip an assert (exit 4)
+    argv = [files.get(a, a) for a in argv]
+    code, out = run_cli(argv)
+    assert code == 3 and out == ""
+    assert "error: argument" in capsys.readouterr().err
+
+
 def test_internal_error_is_exit_4(files, monkeypatch, capsys):
     def crash(args):
         raise RecursionError("maximum recursion depth exceeded")
