@@ -5,7 +5,8 @@ Spoiler, incomplete decode), 2 budget exhausted, 3 input error (a bad file
 or a bad argument), 4 internal error (a crash, never reported as an
 answer). Reports are line-oriented key=value text and byte-identical across
 runs for identical invocations and seeds. STRUCTCODE_BUDGET overrides the
-default search budget.
+default search budget; a value that is not a non-negative integer is an
+input error (exit 3).
 """
 
 from __future__ import annotations
@@ -84,8 +85,14 @@ SUBCOMMANDS = (
 
 
 def default_budget() -> int:
+    """STRUCTCODE_BUDGET if set, else DEFAULT_BUDGET; ValueError unless a non-negative int."""
     env = os.environ.get("STRUCTCODE_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return _count(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"STRUCTCODE_BUDGET: {exc}") from None
 
 
 def _read(path: str) -> str:
@@ -454,11 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help (0) or a bad argument (3)
         return exc.code
+    except ValueError as exc:  # a bad STRUCTCODE_BUDGET
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     try:
         return args.fn(args)
     except BudgetExhausted as exc:

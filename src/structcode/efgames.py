@@ -2,9 +2,13 @@
 
 Two deliberately different algorithms answer the same question:
 
-* ef_winner explores the alternating game tree over ordered pebble
-  sequences, memoized per position;
+* ef_winner explores the alternating game tree move by move, memoized on
+  the position: the sorted set of pebbled pairs and the rounds left;
 * equiv_n evaluates the back-and-forth hierarchy on unordered partial maps.
+
+Both test a move with _extends, which checks only what the new pair can
+break. _pebbles_partial_iso stays the naive full check behind the win
+condition and the strategy verifier, and shares no code with it.
 
 Their agreement on small structures is one of the package's standing checks.
 """
@@ -59,12 +63,38 @@ def _pebbles_partial_iso(left: FinStructure, right: FinStructure,
     return True
 
 
+def _extends(left: FinStructure, right: FinStructure, fwd: dict[int, int],
+             a: int, b: int) -> bool:
+    """True iff the partial isomorphism fwd stays one with a mapped to b.
+
+    fwd must be a partial isomorphism: only injectivity and the atoms on
+    tuples that mention a are tested. A pair already in fwd extends it.
+    """
+    if a in fwd:
+        return fwd[a] == b
+    if b in fwd.values():
+        return False
+    fwd = {**fwd, a: b}
+    image = fwd.__getitem__
+    lfacts, rfacts = left.facts, right.facts
+    for name, arity in left.sig.relations:
+        for tup in product(fwd, repeat=arity):
+            if a in tup and ((name, tup) in lfacts) != ((name, tuple(map(image, tup))) in rfacts):
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Game-tree search
 
 
 class GameSolver:
-    """Memoized alternating search over pebble sequences for one pair."""
+    """Memoized alternating search for one pair.
+
+    A position is the sorted tuple of its distinct pebbled pairs, since its
+    value depends only on that set; the memo is keyed on (position, rounds
+    left), and states counts the distinct keys solved.
+    """
 
     def __init__(self, left: FinStructure, right: FinStructure,
                  budget: int = DEFAULT_BUDGET):
@@ -76,11 +106,16 @@ class GameSolver:
         self.states = 0
         self.memo: dict[tuple[tuple[tuple[int, int], ...], int], bool] = {}
 
-    def _extended(self, pebbles, e: int, f: int):
-        new = pebbles + ((e, f),)
-        if _pebbles_partial_iso(self.left, self.right, new):
-            return new
-        return None
+    def _extended(self, pebbles, fwd: dict[int, int], e: int, f: int):
+        """The position after pebbling (e, f), or None if that is no partial iso.
+
+        fwd is dict(pebbles). Re-pebbling a pebbled pair keeps the position.
+        """
+        if not _extends(self.left, self.right, fwd, e, f):
+            return None
+        if e in fwd:
+            return pebbles
+        return tuple(sorted(pebbles + ((e, f),)))
 
     def duplicator_wins(self, pebbles: tuple[tuple[int, int], ...], k: int) -> bool:
         key = (pebbles, k)
@@ -95,11 +130,12 @@ class GameSolver:
             self.memo[key] = True
             return True
         lefts, rights = range(self.left.size), range(self.right.size)
+        fwd = dict(pebbles)
         result = True
         # Spoiler moves on the left...
         for e in lefts:
             if not any(
-                (new := self._extended(pebbles, e, f)) is not None
+                (new := self._extended(pebbles, fwd, e, f)) is not None
                 and self.duplicator_wins(new, k - 1)
                 for f in rights
             ):
@@ -109,7 +145,7 @@ class GameSolver:
         if result:
             for f in rights:
                 if not any(
-                    (new := self._extended(pebbles, e, f)) is not None
+                    (new := self._extended(pebbles, fwd, e, f)) is not None
                     and self.duplicator_wins(new, k - 1)
                     for e in lefts
                 ):
@@ -170,8 +206,9 @@ def _reply(solver: GameSolver, pebbles: tuple[tuple[int, int], ...], side: str,
     (None, pebbles) when no reply qualifies.
     """
     others = solver.right.size if side == "left" else solver.left.size
+    fwd = dict(pebbles)
     for f in range(others):
-        new = solver._extended(pebbles, *((e, f) if side == "left" else (f, e)))
+        new = solver._extended(pebbles, fwd, *((e, f) if side == "left" else (f, e)))
         if new is not None and (rounds is None or solver.duplicator_wins(new, rounds)):
             return f, new
     return None, pebbles
@@ -197,30 +234,11 @@ def equiv_n(left: Structish, right: Structish, n: int,
         raise ValueError("structures must share a signature")
     assert n >= 0
     lcol, rcol, _ = _joint_colors(ls, rs, _profile(ls), _profile(rs))
+    # response candidates per colour: that colour first, index order within
+    right_for = {c: sorted(range(rs.size), key=lambda b: rcol[b] != c) for c in set(lcol)}
+    left_for = {c: sorted(range(ls.size), key=lambda a: lcol[a] != c) for c in set(rcol)}
     memo: dict[tuple[frozenset[tuple[int, int]], int], bool] = {}
     visited = 0
-
-    def extension_ok(fwd: dict[int, int], a: int, b: int) -> bool:
-        # injectivity, then atoms on tuples that mention the new element
-        if a in fwd:
-            return fwd[a] == b
-        if b in fwd.values():
-            return False
-        fwd2 = dict(fwd)
-        fwd2[a] = b
-        lefts = sorted(fwd2)
-        for name, arity in ls.sig.relations:
-            for tup in product(lefts, repeat=arity):
-                if a not in tup:
-                    continue
-                if ls.holds(name, tup) != rs.holds(name, tuple(fwd2[x] for x in tup)):
-                    return False
-        return True
-
-    def candidates(universe: int, colors: list[int], want: int) -> list[int]:
-        same = [e for e in range(universe) if colors[e] == want]
-        rest = [e for e in range(universe) if colors[e] != want]
-        return same + rest
 
     def good(pairs: frozenset[tuple[int, int]], k: int) -> bool:
         nonlocal visited
@@ -237,16 +255,16 @@ def equiv_n(left: Structish, right: Structish, n: int,
         result = True
         for a in range(ls.size):
             if not any(
-                extension_ok(fwd, a, b) and good(pairs | {(a, b)}, k - 1)
-                for b in candidates(rs.size, rcol, lcol[a])
+                _extends(ls, rs, fwd, a, b) and good(pairs | {(a, b)}, k - 1)
+                for b in right_for[lcol[a]]
             ):
                 result = False
                 break
         if result:
             for b in range(rs.size):
                 if not any(
-                    extension_ok(fwd, a, b) and good(pairs | {(a, b)}, k - 1)
-                    for a in candidates(ls.size, lcol, rcol[b])
+                    _extends(ls, rs, fwd, a, b) and good(pairs | {(a, b)}, k - 1)
+                    for a in left_for[rcol[b]]
                 ):
                     result = False
                     break

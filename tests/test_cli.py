@@ -243,6 +243,17 @@ def test_budget_env_override(files, monkeypatch):
     assert cli.default_budget() == 10 ** 7
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_budget_env_is_input_error(files, monkeypatch, capsys, value):
+    # read while the parser is built, so it needs its own input-error path
+    monkeypatch.setenv("STRUCTCODE_BUDGET", value)
+    code, out = run_cli(["iso", "--left", files["k2.g"], "--right", files["k2.g"]])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: STRUCTCODE_BUDGET: expected a non-negative integer, got {value!r}\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # operation coverage over the command table
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -7,7 +8,10 @@ from structcode.core import BudgetExhausted, FinStructure, Signature
 from structcode.efgames import (
     DUPLICATOR,
     SPOILER,
+    GameSolver,
     GameState,
+    _extends,
+    _pebbles_partial_iso,
     ef_trace,
     ef_winner,
     equiv_n,
@@ -55,6 +59,71 @@ def test_partial_iso_repeated_pebbles_allowed():
 
 
 # ---------------------------------------------------------------------------
+# one-step extension check against the naive full check
+
+MIXED = Signature.of(("U", 1), ("E", 2), ("T", 3))
+
+
+def rand_mixed(rng, size):
+    # every tuple is a candidate fact, so many repeat an element
+    return FinStructure(MIXED, size, frozenset(
+        (name, tup) for name, arity in MIXED.relations
+        for tup in product(range(size), repeat=arity) if rng.random() < 0.3
+    ))
+
+
+def test_extends_matches_full_check():
+    # _extends assumes the position is a partial isomorphism, so it must
+    # agree with the full check on the extended position exactly when the
+    # position passes that check; otherwise the extension fails either way.
+    rng = random.Random(23)
+    seen = {"legal": 0, "illegal": 0, "repebbled": 0, "a_taken": 0,
+            "b_taken": 0, "bad_position": 0}
+    for _ in range(4000):
+        # a move needs an element on each side, so sizes start at 1
+        left = rand_mixed(rng, rng.randint(1, 5))
+        if rng.random() < 0.6:
+            right, iso = corpus.random_permuted_copy(rng, left)
+            perm = [dict(iso.pairs)[x] for x in range(left.size)]
+            if rng.random() < 0.3 and right.facts:  # drop one fact: a near copy
+                right = FinStructure(MIXED, right.size,
+                                     right.facts - {rng.choice(sorted(right.facts))})
+        else:
+            right = rand_mixed(rng, rng.randint(1, 5))
+            perm = [rng.randrange(right.size) for _ in range(left.size)]
+        dom = rng.sample(range(left.size), rng.randint(0, min(3, left.size)))
+        p = tuple((x, perm[x] if rng.random() < 0.8 else rng.randrange(right.size))
+                  for x in dom)
+        if p and rng.random() < 0.2:
+            p += (rng.choice(p),)  # a pair pebbled twice
+        fwd = dict(p)
+        roll = rng.random()
+        if p and roll < 0.2:
+            a, b = rng.choice(p)
+        elif p and roll < 0.3:
+            a, b = rng.choice(p)[0], rng.randrange(right.size)
+        elif p and roll < 0.4 and len(fwd) < left.size:
+            a = rng.choice([x for x in range(left.size) if x not in fwd])
+            b = rng.choice(p)[1]
+        else:
+            a = rng.randrange(left.size)
+            b = perm[a] if rng.random() < 0.7 else rng.randrange(right.size)
+        full = _pebbles_partial_iso(left, right, p + ((a, b),))
+        if not _pebbles_partial_iso(left, right, p):
+            seen["bad_position"] += 1
+            assert not full
+            continue
+        assert _extends(left, right, fwd, a, b) == full, (left, right, p, a, b)
+        if a in fwd:
+            seen["repebbled" if fwd[a] == b else "a_taken"] += 1
+        elif b in fwd.values():
+            seen["b_taken"] += 1
+        else:
+            seen["legal" if full else "illegal"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+# ---------------------------------------------------------------------------
 # pinned game values
 
 
@@ -84,6 +153,18 @@ def test_symmetric_pairs_closed_form_within_budget(make, a, b):
     assert ef_winner(left, right, n, budget=10_000) == expected
     assert equiv_n(left, right, n, budget=10_000) == (expected == DUPLICATOR)
     assert ef_trace(left, right, n, budget=10_000)[0] == expected
+
+
+def test_pure_set_game_fits_small_budget():
+    # a position is its set of pebbled pairs: 892 states, where memoizing on
+    # ordered pebble sequences took 1,899 and ran out of this budget
+    p7 = corpus.pure_set_structure(7)
+    assert ef_winner(p7, p7, 3, budget=1_000) == DUPLICATOR
+    assert equiv_n(p7, p7, 3, budget=1_000)
+    assert ef_trace(p7, p7, 3, budget=1_000)[0] == DUPLICATOR
+    solver = GameSolver(p7, p7, budget=1_000)
+    assert solver.duplicator_wins((), 3)
+    assert solver.states == 892
 
 
 def test_identical_structures_duplicator_wins():
@@ -183,6 +264,26 @@ def test_trace_duplicator_line_is_legal():
     winner, trace = ef_trace(K2, K3, 2)
     assert winner == DUPLICATOR
     assert all(resp is not None for _, _, resp in trace)
+
+
+def _seeded_pair(seed):
+    rng = random.Random(seed)
+    return rand_binary(rng, 4), rand_binary(rng, 4)
+
+
+# recorded from the solver that memoized ordered pebble sequences
+@pytest.mark.parametrize("pair, n, expected", [
+    ((K2, K3), 2, (DUPLICATOR, [("left", 0, 0), ("left", 0, 0)])),
+    ((K2, K3), 3, (SPOILER, [("left", 0, 0), ("left", 1, 1), ("right", 2, None)])),
+    (_seeded_pair(23), 1, (SPOILER, [("right", 0, None)])),
+    (_seeded_pair(23), 2, (SPOILER, [("left", 0, 1), ("left", 1, None)])),
+    (_seeded_pair(23), 3, (SPOILER, [("left", 0, 1), ("left", 0, 1), ("left", 1, None)])),
+    (_seeded_pair(58), 1, (DUPLICATOR, [("left", 0, 2)])),
+    (_seeded_pair(58), 2, (SPOILER, [("left", 0, 2), ("left", 3, None)])),
+    (_seeded_pair(58), 3, (SPOILER, [("left", 0, 2), ("left", 0, 2), ("left", 3, None)])),
+])
+def test_trace_golden(pair, n, expected):
+    assert ef_trace(*pair, n) == expected
 
 
 # ---------------------------------------------------------------------------
