@@ -53,16 +53,16 @@ COMMAND_TABLE: dict[str, str] = {
     "shelah.reduct_iso": "shelah",
     "shelah.distinguishing_trace": "shelah",
     "reduction.build_f": "reduce-f",
-    "reduction.block_type": "reduce-f",
+    "reduction.block_type": "selftest",
     "reduction.induced_embedding": "selftest",
-    "reduction.classify_block": "decode-f",
+    "reduction.classify_block": "selftest",
     "reduction.decode_f": "decode-f",
     "coding.encode": "encode",
     "coding.decode": "decode",
     "coding.canonical_iso": "selftest",
     "coding.encode_morphism": "selftest",
     "coding.lambda_graph": "selftest",
-    "efgames.partial_iso_check": "ef",
+    "efgames.partial_iso_check": "selftest",
     "efgames.ef_winner": "ef",
     "efgames.equiv_n": "ef",
     "efgames.verify_duplicator_strategy": "shelah",

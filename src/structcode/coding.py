@@ -120,7 +120,7 @@ class DecodeResult:
         return dict(self.roles)
 
 
-def _find_cycles(g: DiGraph, out: dict[int, list[int]], inn: dict[int, list[int]]):
+def _find_cycles(g: DiGraph, out: dict[int, list[int]]):
     """The three tagged cycles as {tag: list of vertices in cycle order}."""
     comps = [c for c in _components(g.size, out) if len(c) > 1]
     if len(comps) != 3:
@@ -161,7 +161,7 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
     if any(u == v for u, v in g.edges):
         raise MalformedCoding("self-loop present")
     out, inn = adjacency(g)
-    by_tag = _find_cycles(g, out, inn)
+    by_tag = _find_cycles(g, out)
 
     roles: dict[int, Role] = {}
     accounted: set[tuple[int, int]] = set()

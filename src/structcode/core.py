@@ -331,9 +331,10 @@ class AtomOracle:
     def elements(self, n: int) -> list:
         return [self.element(i) for i in range(self.element_count(n))]
 
-    def relations(self, bound: int) -> list[tuple[str, int]]:
+    def relations(self, bound: int) -> Iterator[tuple[str, int]]:
+        """The first bound relations, enumerated lazily so a caller can stop early."""
         cap = bound if self.num_relations is None else min(bound, self.num_relations)
-        return [self.relation(i) for i in range(cap)]
+        return map(self.relation, range(cap))
 
 
 def oracle_of_structure(s: FinStructure) -> AtomOracle:
@@ -360,20 +361,24 @@ def restrict(
     come from oracle.facts when the oracle has it, otherwise from asking
     holds on every tuple. Either way, raises BudgetExhausted before building
     the handle list when the tuple count (elements^arity summed over the
-    relations) exceeds query_budget.
+    relations) exceeds query_budget; the count runs while the relations are
+    enumerated, so the relation that goes over is the last one asked for.
     """
     if rel_bound is None:
         if oracle.num_relations is None:
             raise ValueError("rel_bound required for an infinite signature")
         rel_bound = oracle.num_relations
-    rels = oracle.relations(rel_bound)
-    sig = Signature(tuple(rels))
     cap = oracle.element_count(n)
-    tuples = sum(cap ** arity for _, arity in rels)
-    if query_budget is not None and tuples > query_budget:
-        raise BudgetExhausted(
-            f"restrict exceeded {query_budget} oracle queries", used=tuples, budget=query_budget
-        )
+    rels = []
+    tuples = 0
+    for name, arity in oracle.relations(rel_bound):
+        tuples += cap ** arity
+        if query_budget is not None and tuples > query_budget:
+            raise BudgetExhausted(
+                f"restrict exceeded {query_budget} oracle queries", used=tuples, budget=query_budget
+            )
+        rels.append((name, arity))
+    sig = Signature(tuple(rels))
     handles = oracle.elements(n)
     if oracle.facts is not None:
         return FinStructure(sig, cap, frozenset(oracle.facts(handles, rels)))

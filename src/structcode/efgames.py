@@ -6,8 +6,11 @@ Two deliberately different algorithms answer the same question:
   the position: the sorted set of pebbled pairs and the rounds left;
 * equiv_n evaluates the back-and-forth hierarchy on unordered partial maps.
 
-Both test a move with _extends, which checks only what the new pair can
-break. _pebbles_partial_iso stays the naive full check behind the win
+Each evaluator, the strategy verifier included, walks Spoiler's moves in
+play order (left elements first, then right) in one pass per position,
+each move answered by the pairs it yields in Duplicator's order. Both
+solvers test a reply with _extends, which checks only what the new pair
+can break. _pebbles_partial_iso stays the naive full check behind the win
 condition and the strategy verifier, and shares no code with it.
 
 Their agreement on small structures is one of the package's standing checks.
@@ -16,7 +19,7 @@ Their agreement on small structures is one of the package's standing checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Optional, Sequence, Union
 
 from .core import BudgetExhausted, DEFAULT_BUDGET, DiGraph, FinStructure
@@ -93,7 +96,10 @@ class GameSolver:
 
     A position is the sorted tuple of its distinct pebbled pairs, since its
     value depends only on that set; the memo is keyed on (position, rounds
-    left), and states counts the distinct keys solved.
+    left), and states counts the distinct keys solved. moves numbers
+    Spoiler's moves in play order: left element i for i < left.size, then
+    right element i - left.size. Their replies are generated on demand, so
+    no structure of size left.size * right.size is ever built.
     """
 
     def __init__(self, left: FinStructure, right: FinStructure,
@@ -105,17 +111,25 @@ class GameSolver:
         self.budget = budget
         self.states = 0
         self.memo: dict[tuple[tuple[tuple[int, int], ...], int], bool] = {}
+        self.moves = range(left.size + right.size)
 
-    def _extended(self, pebbles, fwd: dict[int, int], e: int, f: int):
-        """The position after pebbling (e, f), or None if that is no partial iso.
+    def answer(self, pebbles: tuple[tuple[int, int], ...], fwd: dict[int, int],
+               i: int, rounds: Optional[int]):
+        """Duplicator's first reply to Spoiler's move i that keeps a partial
+        isomorphism and, unless rounds is None, wins the rounds left.
 
-        fwd is dict(pebbles). Re-pebbling a pebbled pair keeps the position.
+        fwd is dict(pebbles). Returns (pair, position) or None; re-pebbling
+        a pebbled pair keeps the position.
         """
-        if not _extends(self.left, self.right, fwd, e, f):
-            return None
-        if e in fwd:
-            return pebbles
-        return tuple(sorted(pebbles + ((e, f),)))
+        lsize = self.left.size  # moves from lsize on pebble a right element
+        replies = (zip(repeat(i), range(self.right.size)) if i < lsize
+                   else zip(range(lsize), repeat(i - lsize)))
+        for e, f in replies:
+            if _extends(self.left, self.right, fwd, e, f):
+                new = pebbles if e in fwd else tuple(sorted(pebbles + ((e, f),)))
+                if rounds is None or self.duplicator_wins(new, rounds):
+                    return (e, f), new
+        return None
 
     def duplicator_wins(self, pebbles: tuple[tuple[int, int], ...], k: int) -> bool:
         key = (pebbles, k)
@@ -129,28 +143,12 @@ class GameSolver:
         if k == 0:
             self.memo[key] = True
             return True
-        lefts, rights = range(self.left.size), range(self.right.size)
         fwd = dict(pebbles)
         result = True
-        # Spoiler moves on the left...
-        for e in lefts:
-            if not any(
-                (new := self._extended(pebbles, fwd, e, f)) is not None
-                and self.duplicator_wins(new, k - 1)
-                for f in rights
-            ):
+        for i in self.moves:
+            if self.answer(pebbles, fwd, i, k - 1) is None:
                 result = False
                 break
-        # ... and on the right.
-        if result:
-            for f in rights:
-                if not any(
-                    (new := self._extended(pebbles, fwd, e, f)) is not None
-                    and self.duplicator_wins(new, k - 1)
-                    for e in lefts
-                ):
-                    result = False
-                    break
         self.memo[key] = result
         return result
 
@@ -177,41 +175,22 @@ def ef_trace(left: Structish, right: Structish, n: int,
     trace: list[tuple[str, int, Optional[int]]] = []
     pebbles: tuple[tuple[int, int], ...] = ()
     for k in range(n, 0, -1):
+        fwd = dict(pebbles)
         if solver.duplicator_wins(pebbles, k):
-            if ls.size == 0 and rs.size == 0:
+            if not solver.moves:
                 break
-            side, e = ("left", 0) if ls.size else ("right", 0)
-            response, pebbles = _reply(solver, pebbles, side, e, k - 1)
-            assert response is not None
+            i, reply = 0, solver.answer(pebbles, fwd, 0, k - 1)
+            assert reply is not None
         else:
-            side, e = next(
-                (side, e)
-                for side, universe in (("left", ls.size), ("right", rs.size))
-                for e in range(universe)
-                if _reply(solver, pebbles, side, e, k - 1)[0] is None
-            )
-            response, pebbles = _reply(solver, pebbles, side, e, None)
-        trace.append((side, e, response))
-        if response is None:
+            i = next(i for i in solver.moves if solver.answer(pebbles, fwd, i, k - 1) is None)
+            reply = solver.answer(pebbles, fwd, i, None)
+        side, e = ("left", i) if i < ls.size else ("right", i - ls.size)
+        if reply is None:
+            trace.append((side, e, None))
             break
+        (a, b), pebbles = reply
+        trace.append((side, e, b if side == "left" else a))
     return winner, trace
-
-
-def _reply(solver: GameSolver, pebbles: tuple[tuple[int, int], ...], side: str,
-           e: int, rounds: Optional[int]) -> tuple[Optional[int], tuple[tuple[int, int], ...]]:
-    """Duplicator's least reply to Spoiler pebbling e on side.
-
-    The reply must keep a partial isomorphism and, unless rounds is None,
-    win the remaining rounds. Returns (reply, extended pebbles), or
-    (None, pebbles) when no reply qualifies.
-    """
-    others = solver.right.size if side == "left" else solver.left.size
-    fwd = dict(pebbles)
-    for f in range(others):
-        new = solver._extended(pebbles, fwd, *((e, f) if side == "left" else (f, e)))
-        if new is not None and (rounds is None or solver.duplicator_wins(new, rounds)):
-            return f, new
-    return None, pebbles
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +216,7 @@ def equiv_n(left: Structish, right: Structish, n: int,
     # response candidates per colour: that colour first, index order within
     right_for = {c: sorted(range(rs.size), key=lambda b: rcol[b] != c) for c in set(lcol)}
     left_for = {c: sorted(range(ls.size), key=lambda a: lcol[a] != c) for c in set(rcol)}
+    lsize = ls.size
     memo: dict[tuple[frozenset[tuple[int, int]], int], bool] = {}
     visited = 0
 
@@ -253,21 +233,15 @@ def equiv_n(left: Structish, right: Structish, n: int,
             return True
         fwd = dict(pairs)
         result = True
-        for a in range(ls.size):
-            if not any(
-                _extends(ls, rs, fwd, a, b) and good(pairs | {(a, b)}, k - 1)
-                for b in right_for[lcol[a]]
-            ):
+        # Spoiler's move i pebbles left element i, then right element i - lsize;
+        # its replies are zipped on demand, never stored
+        for i in range(lsize + rs.size):
+            replies = (zip(repeat(i), right_for[lcol[i]]) if i < lsize
+                       else zip(left_for[rcol[i - lsize]], repeat(i - lsize)))
+            if not any(_extends(ls, rs, fwd, a, b) and good(pairs | {(a, b)}, k - 1)
+                       for a, b in replies):
                 result = False
                 break
-        if result:
-            for b in range(rs.size):
-                if not any(
-                    _extends(ls, rs, fwd, a, b) and good(pairs | {(a, b)}, k - 1)
-                    for a in left_for[rcol[b]]
-                ):
-                    result = False
-                    break
         memo[key] = result
         return result
 
@@ -293,18 +267,14 @@ def verify_duplicator_strategy(leftR: FinStructure, rightR: FinStructure,
     if len(inverse) != len(strategy):
         raise ValueError("strategy is not injective")
 
+    pairs = ([(e, strategy[e]) for e in range(leftR.size)]
+             + [(inverse[f], f) for f in range(rightR.size)])
+
     def play(pebbles: tuple[tuple[int, int], ...], k: int) -> bool:
-        if k == 0:
-            return True
-        for e in range(leftR.size):
-            pb = pebbles + ((e, strategy[e]),)
-            if not _pebbles_partial_iso(leftR, rightR, pb) or not play(pb, k - 1):
-                return False
-        for f in range(rightR.size):
-            pb = pebbles + ((inverse[f], f),)
-            if not _pebbles_partial_iso(leftR, rightR, pb) or not play(pb, k - 1):
-                return False
-        return True
+        return k == 0 or all(
+            _pebbles_partial_iso(leftR, rightR, pebbles + (pair,)) and play(pebbles + (pair,), k - 1)
+            for pair in pairs
+        )
 
     return play((), n)
 

@@ -252,7 +252,7 @@ def classify_block(
     if not oracle.holds("W", (x,)) or not oracle.holds("W", (y,)):
         raise ValueError("classify_block needs two W elements")
     inspected = 0
-    limit = scan_cap if oracle.num_elements is None else min(scan_cap, oracle.num_elements)
+    limit = oracle.element_count(scan_cap)
     for idx in range(limit):
         if inspected >= budget:
             break
@@ -314,7 +314,7 @@ def decode_f(
         return DiGraph.of(0)
     if scan_cap is None:
         scan_cap = default_scan_cap(k)
-    limit = scan_cap if oracle.num_elements is None else min(scan_cap, oracle.num_elements)
+    limit = oracle.element_count(scan_cap)
     if oracle.facts is not None:
         return _decode_listed(oracle, k, nu_bound, budget, limit)
 

@@ -230,6 +230,23 @@ def test_restrict_budget_exhaustion_reports_tuples():
     assert str(plain) == "out of budget" and (plain.used, plain.budget) == (None, None)
 
 
+def test_restrict_budget_stops_relation_enumeration():
+    # two elements and unary relations: 2, 4, ..., 12 tuples, so the sixth
+    # relation goes over a budget of 10 and no later one is asked for
+    asked = []
+
+    def relation(i):
+        asked.append(i)
+        return f"U{i}", 1
+
+    oracle = AtomOracle(relation=relation, element=lambda i: i,
+                        holds=lambda name, tup: True)
+    with pytest.raises(BudgetExhausted) as err:
+        restrict(oracle, 2, rel_bound=1000, query_budget=10)
+    assert asked == list(range(6))
+    assert (err.value.used, err.value.budget) == (12, 10)
+
+
 # ---------------------------------------------------------------------------
 # text formats
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -250,6 +251,26 @@ def test_hierarchy_budget_exhaustion_reports_maps():
     assert (err.value.used, err.value.budget) == (4, 3)
 
 
+def test_large_pair_small_budget_builds_nothing_quadratic():
+    # Duplicator's replies are generated move by move: at 0 rounds, or with
+    # a budget of 10, two edgeless 1,000-element structures take memory in
+    # proportion to their size, not to the 10^6 pairs between them
+    big = FinStructure(SIG, 1000, frozenset())
+    tracemalloc.start()
+    try:
+        assert ef_winner(big, big, 0) == DUPLICATOR
+        assert equiv_n(big, big, 0)
+        assert ef_trace(big, big, 0) == (DUPLICATOR, [])
+        for solve in (ef_winner, equiv_n, ef_trace):
+            with pytest.raises(BudgetExhausted) as err:
+                solve(big, big, 1, budget=10)
+            assert err.value.used == 11
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 # ---------------------------------------------------------------------------
 # traces
 
@@ -284,6 +305,119 @@ def _seeded_pair(seed):
 ])
 def test_trace_golden(pair, n, expected):
     assert ef_trace(*pair, n) == expected
+
+
+# ---------------------------------------------------------------------------
+# golden work counts: GameSolver.states, equiv_n's exact map count and the
+# ef_trace line, recorded from the solver with mirrored left/right loops.
+# Trace sides are abbreviated L and R.
+
+# (_seeded_pair seed, rounds, states, maps, winner, trace)
+SEEDED = [
+    (0, 0, 1, 1, "D", []),
+    (0, 1, 4, 4, "D", [("L", 0, 0)]),
+    (0, 2, 3, 3, "S", [("L", 0, 0), ("L", 1, None)]),
+    (0, 3, 4, 4, "S", [("L", 0, 0), ("L", 0, 0), ("L", 1, None)]),
+    (1, 0, 1, 1, "D", []),
+    (1, 1, 1, 1, "S", [("L", 0, None)]),
+    (1, 2, 1, 1, "S", [("L", 0, None)]),
+    (1, 3, 1, 1, "S", [("L", 0, None)]),
+    (2, 0, 1, 1, "D", []),
+    (2, 1, 1, 1, "D", []),
+    (2, 2, 1, 1, "D", []),
+    (2, 3, 1, 1, "D", []),
+    (3, 0, 1, 1, "D", []),
+    (3, 1, 1, 1, "S", [("L", 0, None)]),
+    (3, 2, 1, 1, "S", [("L", 0, None)]),
+    (3, 3, 1, 1, "S", [("L", 0, None)]),
+    (4, 0, 1, 1, "D", []),
+    (4, 1, 2, 2, "S", [("R", 0, None)]),
+    (4, 2, 5, 5, "S", [("L", 0, 1), ("R", 0, None)]),
+    (4, 3, 7, 7, "S", [("L", 0, 1), ("L", 0, 1), ("R", 0, None)]),
+    (5, 0, 1, 1, "D", []),
+    (5, 1, 1, 1, "S", [("L", 0, None)]),
+    (5, 2, 1, 1, "S", [("L", 0, None)]),
+    (5, 3, 1, 1, "S", [("L", 0, None)]),
+    (6, 0, 1, 1, "D", []),
+    (6, 1, 7, 6, "D", [("L", 0, 0)]),
+    (6, 2, 10, 10, "S", [("L", 0, 0), ("L", 2, None)]),
+    (6, 3, 13, 13, "S", [("L", 0, 0), ("L", 0, 0), ("L", 2, None)]),
+    (7, 0, 1, 1, "D", []),
+    (7, 1, 1, 1, "S", [("L", 0, None)]),
+    (7, 2, 1, 1, "S", [("L", 0, None)]),
+    (7, 3, 1, 1, "S", [("L", 0, None)]),
+    (8, 0, 1, 1, "D", []),
+    (8, 1, 2, 2, "S", [("R", 1, None)]),
+    (8, 2, 3, 3, "S", [("L", 0, 0), ("R", 1, None)]),
+    (8, 3, 4, 4, "S", [("L", 0, 0), ("L", 0, 0), ("R", 1, None)]),
+    (9, 0, 1, 1, "D", []),
+    (9, 1, 1, 1, "S", [("L", 0, None)]),
+    (9, 2, 1, 1, "S", [("L", 0, None)]),
+    (9, 3, 1, 1, "S", [("L", 0, None)]),
+    (10, 0, 1, 1, "D", []),
+    (10, 1, 6, 6, "D", [("L", 0, 0)]),
+    (10, 2, 3, 3, "S", [("L", 0, 0), ("L", 1, None)]),
+    (10, 3, 4, 4, "S", [("L", 0, 0), ("L", 0, 0), ("L", 1, None)]),
+    (11, 0, 1, 1, "D", []),
+    (11, 1, 1, 1, "S", [("L", 0, None)]),
+    (11, 2, 1, 1, "S", [("L", 0, None)]),
+    (11, 3, 1, 1, "S", [("L", 0, None)]),
+]
+# (left size, right size, states, maps, winner, trace) at 3 rounds, the
+# same for pure sets and for cliques
+SYMMETRIC = [
+    (2, 2, 14, 14, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (2, 3, 22, 22, "S", [("L", 0, 0), ("L", 1, 1), ("R", 2, None)]),
+    (2, 4, 37, 37, "S", [("L", 0, 0), ("L", 1, 1), ("R", 2, None)]),
+    (2, 5, 56, 56, "S", [("L", 0, 0), ("L", 1, 1), ("R", 2, None)]),
+    (2, 6, 79, 79, "S", [("L", 0, 0), ("L", 1, 1), ("R", 2, None)]),
+    (3, 2, 13, 13, "S", [("L", 0, 0), ("L", 1, 1), ("L", 2, None)]),
+    (3, 3, 44, 44, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (3, 4, 79, 79, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (3, 5, 136, 136, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (3, 6, 221, 221, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (4, 2, 15, 15, "S", [("L", 0, 0), ("L", 1, 1), ("L", 2, None)]),
+    (4, 3, 79, 79, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (4, 4, 124, 124, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (4, 5, 193, 193, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (4, 6, 292, 292, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (5, 2, 17, 17, "S", [("L", 0, 0), ("L", 1, 1), ("L", 2, None)]),
+    (5, 3, 136, 136, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (5, 4, 193, 193, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (5, 5, 276, 276, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (5, 6, 391, 391, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (6, 2, 19, 19, "S", [("L", 0, 0), ("L", 1, 1), ("L", 2, None)]),
+    (6, 3, 221, 221, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (6, 4, 292, 292, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (6, 5, 391, 391, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+    (6, 6, 524, 524, "D", [("L", 0, 0), ("L", 0, 0), ("L", 0, 0)]),
+]
+
+
+SIDES = {"L": "left", "R": "right"}
+
+
+def _check_golden(left, right, n, states, maps, winner, trace):
+    solver = GameSolver(left, right)
+    solver.duplicator_wins((), n)
+    assert solver.states == states
+    equiv_n(left, right, n, budget=maps)
+    with pytest.raises(BudgetExhausted) as err:
+        equiv_n(left, right, n, budget=maps - 1)
+    assert err.value.used == maps
+    expected = [(SIDES[side], e, resp) for side, e, resp in trace]
+    assert ef_trace(left, right, n) == ({"D": DUPLICATOR, "S": SPOILER}[winner], expected)
+
+
+@pytest.mark.parametrize("seed, n, states, maps, winner, trace", SEEDED)
+def test_golden_counts_seeded(seed, n, states, maps, winner, trace):
+    _check_golden(*_seeded_pair(seed), n, states, maps, winner, trace)
+
+
+@pytest.mark.parametrize("make", [corpus.pure_set_structure, corpus.complete_graph_structure])
+@pytest.mark.parametrize("a, b, states, maps, winner, trace", SYMMETRIC)
+def test_golden_counts_symmetric(make, a, b, states, maps, winner, trace):
+    _check_golden(make(a), make(b), 3, states, maps, winner, trace)
 
 
 # ---------------------------------------------------------------------------
