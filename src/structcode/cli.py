@@ -20,8 +20,6 @@ from . import acceptance, coding, corpus, efgames, limits, reduction, search, se
 from .core import (
     BudgetExhausted,
     DEFAULT_BUDGET,
-    DiGraph,
-    FinStructure,
     ParseError,
     Signature,
     load_any,
@@ -31,7 +29,6 @@ from .core import (
     restrict,
     serialize_graph,
     serialize_structure,
-    structure_of_graph,
 )
 
 # Where each operation is surfaced; the suite checks this table for
@@ -160,16 +157,9 @@ def cmd_decode_f(args) -> int:
     return 0
 
 
-def _load_structure(path: str) -> FinStructure:
-    loaded = load_any(_read(path))
-    if isinstance(loaded, DiGraph):
-        return structure_of_graph(loaded)
-    return loaded
-
-
 def cmd_ef(args) -> int:
-    left = _load_structure(args.left)
-    right = _load_structure(args.right)
+    left = load_any(_read(args.left))
+    right = load_any(_read(args.right))
     if args.trace:
         winner, trace = efgames.ef_trace(left, right, args.rounds, budget=args.budget)
         print(f"winner={winner}")

@@ -20,15 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product, repeat
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .core import BudgetExhausted, DEFAULT_BUDGET, DiGraph, FinStructure
-from .search import _as_structure, _joint_colors, _profile
+from .core import BudgetExhausted, DEFAULT_BUDGET, FinStructure
+from .search import Structish, _as_structure, _incidence, _joint_colors
 
 DUPLICATOR = "Duplicator"
 SPOILER = "Spoiler"
-
-Structish = Union[FinStructure, DiGraph]
 
 
 @dataclass(frozen=True)
@@ -212,7 +210,7 @@ def equiv_n(left: Structish, right: Structish, n: int,
     if ls.sig != rs.sig:
         raise ValueError("structures must share a signature")
     assert n >= 0
-    lcol, rcol, _ = _joint_colors(ls, rs, _profile(ls), _profile(rs))
+    lcol, rcol, _ = _joint_colors(_incidence(ls), _incidence(rs))
     # response candidates per colour: that colour first, index order within
     right_for = {c: sorted(range(rs.size), key=lambda b: rcol[b] != c) for c in set(lcol)}
     left_for = {c: sorted(range(ls.size), key=lambda a: lcol[a] != c) for c in set(rcol)}
@@ -257,18 +255,15 @@ def verify_duplicator_strategy(leftR: FinStructure, rightR: FinStructure,
     """Check a positional Duplicator strategy against every Spoiler line.
 
     strategy[i] is Duplicator's answer (a rightR index) when Spoiler plays
-    left element i; Spoiler moves on the right are answered through the
-    inverse. Returns True iff the pebble position is a partial isomorphism
-    after each of the n rounds on every branch.
+    left element i. A Spoiler move on the right is answered through the
+    inverse, which pebbles the same pair as the matching left move, so the
+    left moves alone cover every line. Returns True iff the pebble position
+    is a partial isomorphism after each of the n rounds on every branch.
+    ValueError unless strategy is a bijection between equal universes.
     """
-    if leftR.size != rightR.size or len(strategy) != leftR.size:
+    if leftR.size != rightR.size or sorted(strategy) != list(range(rightR.size)):
         raise ValueError("strategy must be a bijection between equal universes")
-    inverse = {strategy[i]: i for i in range(len(strategy))}
-    if len(inverse) != len(strategy):
-        raise ValueError("strategy is not injective")
-
-    pairs = ([(e, strategy[e]) for e in range(leftR.size)]
-             + [(inverse[f], f) for f in range(rightR.size)])
+    pairs = list(enumerate(strategy))
 
     def play(pebbles: tuple[tuple[int, int], ...], k: int) -> bool:
         return k == 0 or all(

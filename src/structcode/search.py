@@ -10,12 +10,19 @@ stable colour partition, so colours compare across the two sides. It stops
 with "not isomorphic" at the first round whose colour histograms differ
 between the sides; otherwise each element may only map to elements of its
 own colour. Embedding search prunes by occurrence counts alone.
+
+Each search reads each structure's facts once, into a per-element index
+(_incidence). The consistency check, the search order, the embedding
+candidates and the colour refinement all read that index. Both structures
+must share a signature; a mismatch raises ValueError before any size or
+fact-count shortcut answers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from math import factorial
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .core import (
@@ -36,71 +43,59 @@ def _as_structure(x: Structish) -> FinStructure:
     return x
 
 
-def _facts_by_elem(s: FinStructure) -> dict[int, list[tuple[str, tuple[int, ...]]]]:
-    by_elem: dict[int, list[tuple[str, tuple[int, ...]]]] = {i: [] for i in range(s.size)}
+# one element's facts: (relation, positions of the element, tuple) for each
+# fact that contains it
+Incidence = list[tuple[str, tuple[int, ...], tuple[int, ...]]]
+
+
+def _incidence(s: FinStructure) -> list[Incidence]:
+    """The fact index of a search, read once per structure: inc[x] is x's Incidence."""
+    inc: list[Incidence] = [[] for _ in range(s.size)]
     for name, tup in s.facts:
         for x in set(tup):
-            by_elem[x].append((name, tup))
-    return by_elem
+            inc[x].append((name, tuple(p for p, e in enumerate(tup) if e == x), tup))
+    return inc
 
 
-def _profile(s: FinStructure) -> dict[int, tuple[tuple[str, int, int], ...]]:
-    """Per element: sorted (relation, position, count) occurrence vector."""
-    counts: dict[int, dict[tuple[str, int], int]] = {i: {} for i in range(s.size)}
-    for name, tup in s.facts:
-        for pos, x in enumerate(tup):
-            key = (name, pos)
-            counts[x][key] = counts[x].get(key, 0) + 1
-    return {
-        i: tuple(sorted((name, pos, c) for (name, pos), c in counts[i].items()))
-        for i in range(s.size)
-    }
+def _occurrences(facts: Incidence) -> Counter:
+    """How often the element sits at each (relation, position)."""
+    return Counter((name, p) for name, positions, _ in facts for p in positions)
 
 
-def _dominates(big: tuple[tuple[str, int, int], ...], small: tuple[tuple[str, int, int], ...]) -> bool:
-    lookup = {(name, pos): c for name, pos, c in big}
-    return all(lookup.get((name, pos), 0) >= c for name, pos, c in small)
-
-
-def _joint_colors(a: FinStructure, b: FinStructure,
-                  profile_a: dict[int, tuple[tuple[str, int, int], ...]],
-                  profile_b: dict[int, tuple[tuple[str, int, int], ...]],
+def _joint_colors(inc_a: list[Incidence], inc_b: list[Incidence],
                   ) -> tuple[list[int], list[int], bool]:
-    """Stable colour refinement of the disjoint union a + b.
+    """Stable colour refinement of the disjoint union a + b, from their incidence lists.
 
     Returns (colors_a, colors_b, balanced). Colours are ids shared by both
-    sides, so an isomorphism maps each element to one of the same colour.
-    Before each round the two halves' colour histograms are compared;
-    balanced=False means they differed (so a and b are not isomorphic) and
-    the colours are those of the round that showed it. Otherwise the
-    refinement runs until no class splits. A round re-keys only the elements
-    that share a fact with an element whose colour changed in the previous
-    round (Paige & Tarjan 1987; Berkholz, Bonsma & Grohe 2013); the others'
-    surroundings are unchanged, so they keep their colour.
+    sides, so an isomorphism maps each element to one of the same colour;
+    the initial colour of an element is its occurrence counts. Before each
+    round the two halves' colour histograms are compared; balanced=False
+    means they differed (so a and b are not isomorphic) and the colours are
+    those of the round that showed it. Otherwise the refinement runs until
+    no class splits. A round re-keys only the elements that share a fact
+    with an element whose colour changed in the previous round (Paige &
+    Tarjan 1987; Berkholz, Bonsma & Grohe 2013); the others' surroundings
+    are unchanged, so they keep their colour. Element x of b is number
+    a.size + x of the union, so b's tuples are shifted as they are read.
     """
-    n = a.size
+    n = len(inc_a)
+    incident = [*inc_a, *inc_b]
     ids: dict[object, int] = {}
-    color = [ids.setdefault(p, len(ids))
-             for p in [*profile_a.values(), *profile_b.values()]]
-    incident: list[list[tuple[str, tuple[int, ...], tuple[int, ...]]]] = [
-        [] for _ in color]
-    for shift, s in ((0, a), (n, b)):
-        for name, tup in s.facts:
-            tup = tuple(x + shift for x in tup)
-            for x in set(tup):
-                incident[x].append((name, tuple(p for p, e in enumerate(tup) if e == x), tup))
+    color = [ids.setdefault(frozenset(_occurrences(f).items()), len(ids)) for f in incident]
     class_size = Counter(color)
     fresh = len(ids)
     changed = range(len(color))
     while True:
         if Counter(color[:n]) != Counter(color[n:]):
             return color[:n], color[n:], False
-        rekey = sorted({e for y in changed for _, _, tup in incident[y] for e in tup})
+        rekey = sorted({e + (n if y >= n else 0)
+                        for y in changed for _, _, tup in incident[y] for e in tup})
         if not rekey:
             return color[:n], color[n:], True
         groups: dict[int, dict[tuple, list[int]]] = {}
         for x in rekey:
-            env = tuple(sorted((name, pos, tuple([color[e] for e in tup]))
+            shift = n if x >= n else 0
+            env = tuple(sorted((name, pos, tuple([color[e + shift] for e in tup]))
                                for name, pos, tup in incident[x]))
             groups.setdefault(color[x], {}).setdefault(env, []).append(x)
         changed = []
@@ -122,49 +117,42 @@ def _joint_colors(a: FinStructure, b: FinStructure,
 class _Searcher:
     def __init__(self, source: FinStructure, target: FinStructure, budget: int,
                  order_by_constraint: bool, iso: bool):
-        if source.sig != target.sig:
-            raise ValueError("source and target must share a signature")
         self.source = source
         self.target = target
         self.budget = budget
         self.nodes = 0
-        self.src_facts = _facts_by_elem(source)
-        self.dst_facts = _facts_by_elem(target)
-        self.src_profile = _profile(source)
-        self.dst_profile = _profile(target)
+        self.src_inc = _incidence(source)
+        self.dst_inc = _incidence(target)
         if order_by_constraint:
             self.order = sorted(
                 range(source.size),
-                key=lambda i: (-sum(c for _, _, c in self.src_profile[i]), i),
+                key=lambda i: (-sum(len(pos) for _, pos, _ in self.src_inc[i]), i),
             )
         else:
             self.order = list(range(source.size))
-        self.candidates: dict[int, list[int]] = {}
         if iso:
-            src_color, dst_color, self.feasible = _joint_colors(
-                source, target, self.src_profile, self.dst_profile)
-            for i in range(source.size):
-                self.candidates[i] = [
-                    t for t in range(target.size)
-                    if dst_color[t] == src_color[i]
-                ]
+            src_color, dst_color, self.feasible = _joint_colors(self.src_inc, self.dst_inc)
+            bucket: dict[int, list[int]] = {}
+            for t, c in enumerate(dst_color):
+                bucket.setdefault(c, []).append(t)
+            self.candidates = [bucket.get(c, []) for c in src_color]
         else:
             self.feasible = True
-            for i in range(source.size):
-                self.candidates[i] = [
-                    t for t in range(target.size)
-                    if _dominates(self.dst_profile[t], self.src_profile[i])
-                ]
+            dst_occ = [_occurrences(f) for f in self.dst_inc]
+            self.candidates = [
+                [t for t, occ in enumerate(dst_occ) if not (src_occ - occ)]
+                for src_occ in map(_occurrences, self.src_inc)
+            ]
 
     def _consistent(self, fwd: dict[int, int], bwd: dict[int, int], x: int, t: int) -> bool:
         fwd[x] = t
         bwd[t] = x
         try:
-            for name, tup in self.src_facts[x]:
+            for name, _, tup in self.src_inc[x]:
                 if all(e in fwd for e in tup):
                     if not self.target.holds(name, tuple(fwd[e] for e in tup)):
                         return False
-            for name, tup in self.dst_facts[t]:
+            for name, _, tup in self.dst_inc[t]:
                 if all(e in bwd for e in tup):
                     if not self.source.holds(name, tuple(bwd[e] for e in tup)):
                         return False
@@ -218,10 +206,17 @@ class _Searcher:
                 return found, True
 
 
+def _same_signature(a: Structish, b: Structish) -> tuple[FinStructure, FinStructure]:
+    sa, sb = _as_structure(a), _as_structure(b)
+    if sa.sig != sb.sig:
+        raise ValueError("source and target must share a signature")
+    return sa, sb
+
+
 def find_embedding(source: Structish, target: Structish,
                    budget: int = DEFAULT_BUDGET) -> Optional[Morphism]:
     """First embedding found, or None after exhausting the search space."""
-    src, dst = _as_structure(source), _as_structure(target)
+    src, dst = _same_signature(source, target)
     if src.size > dst.size:
         return None
     searcher = _Searcher(src, dst, budget, order_by_constraint=True, iso=False)
@@ -237,7 +232,7 @@ def find_isomorphism(a: Structish, b: Structish,
     when the two sides' colour histograms differ at some round, otherwise
     candidates restricted to the same stable colour.
     """
-    sa, sb = _as_structure(a), _as_structure(b)
+    sa, sb = _same_signature(a, b)
     if sa.size != sb.size or len(sa.facts) != len(sb.facts):
         return None
     searcher = _Searcher(sa, sb, budget, order_by_constraint=True, iso=True)
@@ -256,7 +251,7 @@ def enumerate_embeddings(a: Structish, b: Structish, cap: int,
 
     complete=False flags that the cap cut the enumeration short.
     """
-    src, dst = _as_structure(a), _as_structure(b)
+    src, dst = _same_signature(a, b)
     if src.size > dst.size:
         return Embeddings([], True)
     searcher = _Searcher(src, dst, budget, order_by_constraint=False, iso=False)
@@ -267,10 +262,8 @@ def enumerate_embeddings(a: Structish, b: Structish, cap: int,
 def automorphisms(s: Structish, budget: int = DEFAULT_BUDGET) -> list[Morphism]:
     """Every automorphism (embeddings of a structure into itself are bijective)."""
     struct = _as_structure(s)
-    total = 1
-    for i in range(2, struct.size + 1):
-        total *= i
-    return enumerate_embeddings(struct, struct, cap=total + 1, budget=budget).morphisms
+    return enumerate_embeddings(struct, struct, cap=factorial(struct.size) + 1,
+                                budget=budget).morphisms
 
 
 def is_embedding(source: Structish, target: Structish, m: Morphism) -> bool:

@@ -87,6 +87,22 @@ def test_embed_all_counts(files):
     assert "count=6 complete=yes" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["iso", "--left", "r1-2.st", "--right", "e3.g"],
+    ["iso", "--left", "r1-3.st", "--right", "e3.g"],
+    ["embed", "--source", "e3.g", "--target", "r1-2.st"],
+    ["embed", "--source", "e3.g", "--target", "r1-2.st", "--all"],
+])
+def test_signature_mismatch_is_input_error(tmp_path, argv):
+    # R/1 structures against an edgeless 3-vertex graph: a size mismatch
+    # used to print found=no (or count=0) and exit 1
+    for name, text in (("r1-2.st", "sig R/1\nsize 2\n"), ("r1-3.st", "sig R/1\nsize 3\n"),
+                       ("e3.g", "graph 3\n")):
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith((".st", ".g")) else a for a in argv]
+    assert run_cli(argv) == (3, "")
+
+
 def test_iso_round_trip(files):
     code, out = run_cli(["iso", "--left", files["k2.g"], "--right", files["k2.g"]])
     assert code == 0 and "found=yes" in out

@@ -445,3 +445,29 @@ def test_strategy_must_be_bijective():
     left, right, strategy = paired_reduct_restrictions(1, 1, 2)
     with pytest.raises(ValueError):
         verify_duplicator_strategy(left, right, [0] * left.size, 1)
+
+
+def test_strategy_out_of_range_is_rejected():
+    # injective but not onto: an answer outside the right universe
+    left, right, _ = paired_reduct_restrictions(2, 2, 3)
+    assert left.size == 8
+    with pytest.raises(ValueError):
+        verify_duplicator_strategy(left, right, [*range(7), 99], 1)
+
+
+def test_strategy_plays_each_pair_once_per_position(monkeypatch):
+    # a right-side Spoiler move pebbles the same pair as a left one, so
+    # 8 elements at 3 rounds check 8 + 8**2 + 8**3 positions
+    from structcode import efgames
+
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _pebbles_partial_iso(*args)
+
+    monkeypatch.setattr(efgames, "_pebbles_partial_iso", counted)
+    left, right, strategy = paired_reduct_restrictions(2, 2, 3)
+    assert verify_duplicator_strategy(left, right, strategy, 3)
+    assert calls == 8 + 8 ** 2 + 8 ** 3

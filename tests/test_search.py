@@ -7,8 +7,8 @@ from structcode import corpus
 from structcode.coding import encode, is_graph_embedding
 from structcode.core import BudgetExhausted, DiGraph, FinStructure, Signature, structure_of_graph
 from structcode.search import (
+    _incidence,
     _joint_colors,
-    _profile,
     automorphisms,
     enumerate_embeddings,
     find_embedding,
@@ -18,6 +18,9 @@ from structcode.search import (
 )
 
 SIG = Signature.of(("E", 2))
+UNARY = Signature.of(("R", 1))
+TERNARY = Signature.of(("R", 3), ("U", 1))
+UNARY_BINARY = Signature.of(("U", 1), ("E", 2))
 
 
 def k(n):
@@ -114,6 +117,21 @@ def test_automorphisms_of_clique():
     assert len(auts) == 6  # S_3
 
 
+@pytest.mark.parametrize("call", [
+    lambda: find_isomorphism(FinStructure.of(UNARY, 2), DiGraph.of(3, [])),  # sizes differ
+    lambda: find_isomorphism(FinStructure.of(UNARY, 3), k(3)),  # fact counts differ
+    lambda: find_isomorphism(FinStructure.of(UNARY, 3), DiGraph.of(3, [])),
+    lambda: find_embedding(DiGraph.of(3, []), FinStructure.of(UNARY, 2)),  # source larger
+    lambda: find_embedding(FinStructure.of(UNARY, 2), DiGraph.of(3, [])),
+    lambda: enumerate_embeddings(DiGraph.of(3, []), FinStructure.of(UNARY, 2), cap=5),
+])
+def test_signature_mismatch_is_an_error(call):
+    # compared before the size and fact-count shortcuts, which used to
+    # answer "none found" for structures of different signatures
+    with pytest.raises(ValueError, match="share a signature"):
+        call()
+
+
 def test_budget_exhaustion_signals():
     with pytest.raises(BudgetExhausted):
         find_embedding(k(3), k(4), budget=2)
@@ -124,6 +142,108 @@ def test_budget_exhaustion_reports_nodes():
         find_embedding(k(3), k(4), budget=2)
     assert str(err.value) == "embedding search exceeded 2 nodes"
     assert (err.value.used, err.value.budget) == (3, 2)
+
+
+# ---------------------------------------------------------------------------
+# golden search node counts, recorded from the search that read each
+# structure's facts through _facts_by_elem and _profile
+
+
+def _near_copy(rng, s):
+    """A permuted copy of s with one fact moved to a non-fact, if it has both."""
+    copy = corpus.random_permuted_copy(rng, s)[0]
+    absent = [(name, t) for name, arity in s.sig.relations
+              for t in itertools.product(range(s.size), repeat=arity)
+              if (name, t) not in copy.facts]
+    if not copy.facts or not absent:
+        return copy
+    moved = rng.choice(sorted(copy.facts))
+    return FinStructure(s.sig, s.size, copy.facts - {moved} | {rng.choice(absent)})
+
+
+def _sparse(rng, sig, size):
+    density = rng.choice((0.1, 0.2, 0.3))
+    return FinStructure(sig, size, frozenset(
+        (name, t) for name, arity in sig.relations
+        for t in itertools.product(range(size), repeat=arity) if rng.random() < density / arity))
+
+
+def _circulant(rng, sig, size):
+    """Two random steps around a cycle, plus unary facts on a random subset.
+
+    Without the unary facts every element looks alike, so colour refinement
+    splits little and the search has to backtrack.
+    """
+    s, t = rng.sample(range(1, size), 2)
+    if "E" in sig:
+        facts = {("E", (i, (i + d) % size)) for i in range(size) for d in (s, t)}
+    else:
+        facts = {("R", (i, (i + s) % size, (i + t) % size)) for i in range(size)}
+    if "U" in sig:
+        facts |= {("U", (i,)) for i in rng.sample(range(size), rng.randint(1, size - 1))}
+    return FinStructure(sig, size, frozenset(facts))
+
+
+def golden_search(kind, seed):
+    """(call, args, cap) for one seeded search; even seeds plant an answer."""
+    rng = random.Random(seed)
+    sig = (SIG, TERNARY, UNARY_BINARY)[seed % 3]
+    if kind == "coded":
+        a = corpus.random_structure(rng, max_size=3, max_relations=2, max_arity=2)
+        b = corpus.random_permuted_copy(rng, a)[0] if seed % 2 == 0 else _near_copy(rng, a)
+        return find_isomorphism, (encode(a).graph, encode(b).graph), None
+    if kind == "iso":
+        a = _circulant(rng, sig, 6 + seed % 4)
+        b = a if seed % 2 == 0 else _circulant(rng, sig, a.size)
+        return find_isomorphism, (a, corpus.random_permuted_copy(rng, b)[0]), None
+    dst = _circulant(rng, sig, 7) if seed % 4 < 2 else _sparse(rng, sig, 7)
+    if kind == "embed" and seed % 2 == 0:
+        src = corpus.random_induced_substructure(rng, dst)[0]
+    else:
+        src = _sparse(rng, sig, 2 + seed % 3)
+    if kind == "embed":
+        return find_embedding, (src, dst), None
+    return enumerate_embeddings, (src, dst), 1 + seed % 6
+
+
+def golden_answer(call, args, cap, budget):
+    """Embeddings found: 0 or 1 for the find_* calls, the count for enumerate."""
+    if cap is None:
+        return int(call(*args, budget=budget) is not None)
+    return len(call(*args, cap=cap, budget=budget).morphisms)
+
+
+# (kind, seed, nodes, embeddings found); 0 nodes means no node was
+# searched: a size or fact-count mismatch, or unbalanced colours
+GOLDEN_SEARCHES = [
+    ("iso", 0, 8, 1), ("iso", 1, 0, 0), ("iso", 2, 9, 1), ("iso", 3, 100, 0),
+    ("iso", 4, 7, 1), ("iso", 5, 0, 0), ("iso", 6, 10, 1), ("iso", 7, 0, 0),
+    ("iso", 8, 7, 1), ("iso", 9, 29, 0), ("iso", 10, 9, 1), ("iso", 11, 0, 0),
+    ("iso", 12, 8, 1), ("iso", 13, 0, 0), ("iso", 14, 9, 1), ("iso", 15, 100, 0),
+    ("coded", 0, 49, 1), ("coded", 1, 25, 1), ("coded", 2, 19, 1), ("coded", 3, 25, 1),
+    ("coded", 4, 19, 1), ("coded", 5, 0, 0), ("coded", 6, 45, 1), ("coded", 7, 19, 1),
+    ("coded", 8, 76, 1), ("coded", 9, 0, 0), ("coded", 10, 76, 1), ("coded", 11, 28, 1),
+    ("coded", 12, 28, 1), ("coded", 13, 28, 1), ("coded", 14, 25, 1),
+    ("coded", 15, 19, 1),
+    ("embed", 0, 1, 1), ("embed", 1, 1, 0), ("embed", 2, 8, 1), ("embed", 3, 3, 1),
+    ("embed", 4, 8, 1), ("embed", 5, 17, 0), ("embed", 6, 4, 1), ("embed", 7, 1, 0),
+    ("embed", 8, 4, 1), ("embed", 9, 3, 1), ("embed", 10, 3, 1), ("embed", 11, 2, 0),
+    ("embed", 12, 6, 1), ("embed", 13, 2, 0), ("embed", 14, 3, 1), ("embed", 15, 3, 1),
+    ("enum", 0, 4, 1), ("enum", 1, 1, 0), ("enum", 2, 157, 0), ("enum", 3, 7, 4),
+    ("enum", 4, 1, 0), ("enum", 5, 17, 0), ("enum", 6, 5, 1), ("enum", 7, 16, 0),
+    ("enum", 8, 6, 0), ("enum", 9, 9, 4), ("enum", 10, 15, 0), ("enum", 11, 4, 0),
+    ("enum", 12, 4, 1), ("enum", 13, 2, 0), ("enum", 14, 15, 3), ("enum", 15, 7, 4),
+]
+
+
+@pytest.mark.parametrize("kind, seed, nodes, found", GOLDEN_SEARCHES)
+def test_golden_search_nodes(kind, seed, nodes, found):
+    call, args, cap = golden_search(kind, seed)
+    assert golden_answer(call, args, cap, budget=nodes) == found
+    if nodes:
+        with pytest.raises(BudgetExhausted) as err:
+            golden_answer(call, args, cap, budget=nodes - 1)
+        assert err.value.used == nodes
 
 
 def test_isomorphism_search_depth_does_not_recurse():
@@ -191,14 +311,13 @@ def reference_refinement(a, b):
 
 
 def joint_partition(a, b):
-    ca, cb, balanced = _joint_colors(a, b, _profile(a), _profile(b))
+    ca, cb, balanced = _joint_colors(_incidence(a), _incidence(b))
     classes = {}
     for i, c in enumerate(ca + cb):
         classes.setdefault(c, set()).add(i)
     return {frozenset(c) for c in classes.values()}, balanced
 
 
-TERNARY = Signature.of(("R", 3), ("U", 1))
 
 
 def refinement_pairs(rng):
@@ -267,7 +386,7 @@ def test_isomorphism_respects_joint_colors():
         m = find_isomorphism(a, b)
         assert m is not None or not planted
         if m is not None:
-            ca, cb, balanced = _joint_colors(a, b, _profile(a), _profile(b))
+            ca, cb, balanced = _joint_colors(_incidence(a), _incidence(b))
             assert balanced and is_isomorphism(a, b, m)
             assert all(ca[x] == cb[y] for x, y in m.pairs)
 
