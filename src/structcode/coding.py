@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
 
-from .core import DiGraph, FinStructure, Morphism, Signature, _components, adjacency
+from .core import DiGraph, FinStructure, Morphism, Signature, _cyclic_components, adjacency
 from .search import is_embedding
 
 Role = tuple
@@ -120,9 +120,14 @@ class DecodeResult:
         return dict(self.roles)
 
 
-def _find_cycles(g: DiGraph, out: dict[int, list[int]]):
-    """The three tagged cycles as {tag: list of vertices in cycle order}."""
-    comps = [c for c in _components(g.size, out) if len(c) > 1]
+def _find_cycles(g: DiGraph, out: list[list[int]]):
+    """The three tagged cycles as {tag: list of vertices in cycle order}.
+
+    The components of more than one vertex are checked in order of their
+    least vertex, so on a graph with several faults the one reported first
+    does not depend on how the components were found.
+    """
+    comps = _cyclic_components(g.size, out)
     if len(comps) != 3:
         raise MalformedCoding(f"expected 3 cycles, found {len(comps)} nontrivial components")
     by_tag: dict[int, list[int]] = {}
@@ -158,7 +163,7 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
     synthesized as R<arity> (this requires pairwise distinct arities, which
     is the only case shape inference can justify).
     """
-    if any(u == v for u, v in g.edges):
+    if g.allow_loops and any(u == v for u, v in g.edges):
         raise MalformedCoding("self-loop present")
     out, inn = adjacency(g)
     by_tag = _find_cycles(g, out)
@@ -240,7 +245,8 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
                     raise MalformedCoding(f"bad chain predecessor {p}")
                 interior.append(p)
                 node = p
-            if any(len(out[n]) != 1 for n in interior):
+            # the walk checked every other interior node's out-degree
+            if len(out[last]) != 1:
                 raise MalformedCoding("chain node with out-degree != 1")
             chains.append((len(interior), starter, list(reversed(interior))))
         key = tuple(sorted(length for length, _, _ in chains))
@@ -289,7 +295,7 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
     if len(roles) != g.size:
         unclassified = [v for v in range(g.size) if v not in roles]
         raise MalformedCoding(f"unclassified vertices: {unclassified}")
-    if accounted != set(g.edges):
+    if accounted != g.edges:
         raise MalformedCoding("edge set does not match the coded shape")
 
     facts = frozenset(fk for fk, truth in decided.items() if truth)

@@ -210,17 +210,29 @@ def structure_of_graph(g: DiGraph) -> FinStructure:
     return FinStructure.of(GRAPH_SIG, g.size, (("E", e) for e in g.edges))
 
 
-def adjacency(g: DiGraph) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """(out, in) adjacency lists, every vertex present, neighbor lists sorted."""
-    return _successors(g.size, g.edges), _successors(g.size, [(v, u) for u, v in g.edges])
+def adjacency(g: DiGraph) -> tuple[list[list[int]], list[list[int]]]:
+    """(out, in) adjacency lists indexed by vertex, neighbor lists sorted.
+
+    Both are built in one pass over the edges.
+    """
+    out: list[list[int]] = [[] for _ in range(g.size)]
+    inn: list[list[int]] = [[] for _ in range(g.size)]
+    for u, v in g.edges:
+        out[u].append(v)
+        inn[v].append(u)
+    for lst in out:
+        lst.sort()
+    for lst in inn:
+        lst.sort()
+    return out, inn
 
 
-def _successors(size: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
-    """Sorted successor lists of every vertex in range(size)."""
-    out: dict[int, list[int]] = {v: [] for v in range(size)}
+def _successors(size: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Sorted successor lists indexed by vertex, one for each of range(size)."""
+    out: list[list[int]] = [[] for _ in range(size)]
     for u, v in edges:
         out[u].append(v)
-    for lst in out.values():
+    for lst in out:
         lst.sort()
     return out
 
@@ -578,17 +590,45 @@ def load_any(text: str) -> FinStructure | DiGraph:
 
 def strongly_connected_components(g: DiGraph) -> list[list[int]]:
     """Tarjan's algorithm, iterative; components in reverse topological order."""
-    return _components(g.size, _successors(g.size, g.edges))
+    return _components(range(g.size), _successors(g.size, g.edges))
 
 
-def _components(size: int, out: dict[int, list[int]]) -> list[list[int]]:
+def _cyclic_components(size: int, out: list[list[int]]) -> list[list[int]]:
+    """The strongly connected components of more than one vertex, each sorted,
+    in order of their least vertex.
+
+    First peels, in Kahn order, every vertex whose in-degree drops to 0 once
+    its peeled predecessors are gone (the "trim" step of SCC algorithms).
+    The peeled vertices form a DAG, so none lies on a cycle. A vertex that is
+    left has no edge to a peeled one, since that edge would have kept the
+    peeled vertex's in-degree above 0. So Tarjan, run only from the vertices
+    that are left, finds exactly the components it would find on the whole
+    graph among them. On a coded graph only the 15 cycle vertices are left.
+    """
+    indegree = [0] * size
+    for succ in out:
+        for w in succ:
+            indegree[w] += 1
+    peeled = [v for v in range(size) if not indegree[v]]
+    for v in peeled:  # grows while it is walked
+        for w in out[v]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                peeled.append(w)
+    left = [v for v in range(size) if indegree[v]]
+    return sorted(comp for comp in _components(left, out) if len(comp) > 1)
+
+
+def _components(roots: Iterable[int], out: list[list[int]]) -> list[list[int]]:
+    """Tarjan's components of every vertex reachable from roots, each sorted,
+    in reverse topological order; roots are tried in the order given."""
     index_of: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
-    for root in range(size):
+    for root in roots:
         if root in index_of:
             continue
         work = [(root, iter(out[root]))]
@@ -631,12 +671,16 @@ def _components(size: int, out: dict[int, list[int]]) -> list[list[int]]:
 def simple_cycles(g: DiGraph) -> list[tuple[int, ...]]:
     """All simple directed cycles, each rotated to start at its least vertex.
 
-    Per SCC and per start vertex, a depth-first walk extends simple paths
-    through larger vertices and records a cycle on each edge back to the
-    start. The walk keeps an explicit stack, so depth does not grow the call
-    stack. It has no Johnson-style blocking, so its time follows the number
-    of simple paths rather than of cycles, which on dense SCCs is far larger.
-    Output is sorted, so it is deterministic and usable as a test oracle.
+    Only the components of more than one vertex can hold a cycle longer than
+    a self-loop, and `_cyclic_components` finds them after peeling the
+    acyclic part. Per such component and per start vertex, a depth-first
+    walk extends simple paths through larger vertices and records a cycle on
+    each edge back to the start. The walk keeps an explicit stack, so depth
+    does not grow the call stack. It has no Johnson-style blocking, so its
+    time follows the number of simple paths rather than of cycles, which on
+    dense SCCs is far larger. Self-loops (with allow_loops) are listed once
+    each. Output is sorted, so it is deterministic and usable as a test
+    oracle.
     """
     out = _successors(g.size, g.edges)
     cycles: list[tuple[int, ...]] = []
@@ -645,11 +689,9 @@ def simple_cycles(g: DiGraph) -> list[tuple[int, ...]]:
             if u == v:
                 cycles.append((u,))
 
-    for comp in _components(g.size, out):
-        if len(comp) < 2:
-            continue
+    for comp in _cyclic_components(g.size, out):
         comp_set = set(comp)
-        succ = {v: [w for w in out[v] if w in comp_set] for v in comp}
+        succ = {v: [w for w in out[v] if w in comp_set and w != v] for v in comp}
         # enumerate cycles whose least vertex is `start`
         for start in comp:
             path = [start]

@@ -149,6 +149,52 @@ def test_decode_checks_signature_coverage():
         decode(encode(s).graph, other)  # S gadgets are missing
 
 
+def _mutated(rng, g):
+    """g with 1-3 edges dropped, added or redirected."""
+    edges = set(g.edges)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("drop", "add", "redirect"))
+        if op == "add":
+            edges.add(tuple(rng.sample(range(g.size), 2)))
+        elif edges:
+            u, v = rng.choice(sorted(edges))
+            edges.discard((u, v))
+            if op == "redirect":
+                edges.add((u, rng.choice([w for w in range(g.size) if w != u])))
+    return DiGraph.of(g.size, edges)
+
+
+def test_mutated_codings_are_rejected_or_decoded_exactly():
+    rng = random.Random(21)
+    decoded = 0
+    for _ in range(150):
+        s = corpus.random_structure(rng, max_size=3)
+        g = _mutated(rng, encode(s).graph)
+        for sig in (s.sig, None):
+            try:
+                res = decode_full(g, sig)
+            except MalformedCoding:
+                continue
+            decoded += 1
+            coded = encode(res.structure)
+            vertex_of = coded.vertex_of()
+            mapping = {v: vertex_of[role] for v, role in res.roles}
+            assert sorted(mapping) == sorted(mapping.values()) == list(range(g.size))
+            assert {(mapping[u], mapping[v]) for u, v in g.edges} == coded.graph.edges
+    assert decoded > 0
+
+
+@pytest.mark.parametrize("sig", [SIG_R1, Signature.of(("R", 2))])
+def test_second_out_edge_on_last_chain_node_rejected(sig):
+    s = FinStructure.of(sig, 2, [("R", (1,) * sig.arity("R"))])
+    enc = encode(s)
+    length = interior_lengths(sig.arity("R"), 0)[-1]
+    last = enc.vertex_of()[("chain", "R", (0,) * sig.arity("R"), sig.arity("R"), length)]
+    g = DiGraph.of(enc.graph.size, set(enc.graph.edges) | {(last, 2)})
+    with pytest.raises(MalformedCoding, match="chain node with out-degree != 1"):
+        decode_full(g, sig)
+
+
 # ---------------------------------------------------------------------------
 # canonical isomorphism and morphism transport
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from structcode import corpus
+from structcode import coding, core, corpus
 from structcode.core import (
     AtomOracle,
     BudgetExhausted,
@@ -12,6 +12,8 @@ from structcode.core import (
     Morphism,
     ParseError,
     Signature,
+    _cyclic_components,
+    _successors,
     all_strings,
     atomic_diagram_prefix,
     atomic_sentence,
@@ -318,6 +320,82 @@ def test_simple_cycles_none_in_dag():
 def test_simple_cycles_long_cycle_does_not_recurse():
     g = DiGraph.of(3000, [(i, (i + 1) % 3000) for i in range(3000)])
     assert simple_cycles(g) == [tuple(range(3000))]
+
+
+def _random_digraph(rng, kind):
+    """A seeded digraph of 0-12 vertices: a DAG, blocks of cycles joined by
+    forward edges, or a dense random digraph with self-loops allowed."""
+    n = rng.randint(0, 12)
+    if kind == "dag":
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        return DiGraph.of(n, edges)
+    if kind == "blocks":
+        order = list(range(n))
+        rng.shuffle(order)
+        edges, start = [], 0
+        while start < n:
+            block = order[start:start + rng.randint(1, 4)]
+            if len(block) > 1:
+                edges += [(block[i], block[(i + 1) % len(block)]) for i in range(len(block))]
+            start += len(block)
+        edges += [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.15]
+        return DiGraph.of(n, edges)
+    edges = [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.15]
+    return DiGraph.of(n, edges, allow_loops=True)
+
+
+@pytest.mark.parametrize("kind", ["dag", "blocks", "loops"])
+def test_cyclic_components_match_tarjan(kind):
+    rng = random.Random(f"cyclic-{kind}")
+    for _ in range(200):
+        g = _random_digraph(rng, kind)
+        got = _cyclic_components(g.size, _successors(g.size, g.edges))
+        want = {tuple(c) for c in strongly_connected_components(g) if len(c) > 1}
+        assert {tuple(c) for c in got} == want
+        assert [c[0] for c in got] == sorted(c[0] for c in got)
+        if kind == "dag":
+            assert got == []
+
+
+def test_peel_leaves_only_the_cycle_vertices_of_a_coding(monkeypatch):
+    tarjan = core._components
+    roots_seen = []
+
+    def components(roots, out):
+        roots_seen.append(list(roots))
+        return tarjan(roots_seen[-1], out)
+
+    monkeypatch.setattr(core, "_components", components)
+    rng = random.Random(12)
+    for _ in range(30):
+        enc = coding.encode(corpus.random_structure(rng, max_size=4))
+        roots_seen.clear()
+        comps = _cyclic_components(enc.graph.size, _successors(enc.graph.size, enc.graph.edges))
+        cycle_vertices = sorted(v for v, role in enc.provenance if role[0] == "cycle")
+        assert roots_seen == [cycle_vertices]
+        assert sorted(len(c) for c in comps) == [3, 5, 7]
+
+
+def test_simple_cycles_lists_a_self_loop_once():
+    g = DiGraph.of(2, [(0, 0), (0, 1), (1, 0)], allow_loops=True)
+    assert simple_cycles(g) == [(0,), (0, 1)]
+
+
+@pytest.mark.parametrize("kind", ["dag", "blocks", "loops"])
+def test_simple_cycles_match_networkx(kind):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(f"networkx-{kind}")
+    for _ in range(100):
+        g = _random_digraph(rng, kind)
+        ng = nx.DiGraph()
+        ng.add_nodes_from(range(g.size))
+        ng.add_edges_from(g.edges)
+        want = []
+        for cycle in nx.simple_cycles(ng):
+            least = cycle.index(min(cycle))
+            want.append(tuple(cycle[least:] + cycle[:least]))
+        assert simple_cycles(g) == sorted(want)
 
 
 def test_structure_of_graph():
