@@ -24,10 +24,6 @@ from .reduction import (
     reduction_rel_bound,
 )
 
-_encode = lru_cache(maxsize=512)(encode)
-_decode_full = lru_cache(maxsize=512)(decode_full)
-
-
 @dataclass(frozen=True)
 class Functor:
     """Object map plus morphism map, with probe machinery for comparisons.
@@ -64,7 +60,7 @@ def encode_functor() -> Functor:
     """Finite structures with embeddings, to coded graphs with embeddings."""
     return Functor(
         name="encode",
-        obj=lambda s: _encode(s),
+        obj=encode,
         mor=lambda src, h, dst: encode_morphism(src, dst, h),
         apply=lambda m, e: m(e),
         probe=lambda coded: range(coded.graph.size),
@@ -88,12 +84,12 @@ def round_trip_functor() -> Functor:
     """decode o encode on structures; element maps go through the coded graphs."""
 
     def obj(s: FinStructure) -> FinStructure:
-        return _decode_full(_encode(s).graph, s.sig).structure
+        return decode_full(encode(s).graph, s.sig).structure
 
     def mor(src: FinStructure, h: Morphism, dst: FinStructure) -> Morphism:
         gm = encode_morphism(src, dst, h)
-        res_src = _decode_full(_encode(src).graph, src.sig)
-        res_dst = _decode_full(_encode(dst).graph, dst.sig)
+        res_src = decode_full(encode(src).graph, src.sig)
+        res_dst = decode_full(encode(dst).graph, dst.sig)
         pos_dst = {v: i for i, v in enumerate(res_dst.elements)}
         mapping = {
             i: pos_dst[gm(v)] for i, v in enumerate(res_src.elements)
@@ -160,7 +156,7 @@ def composed_functor(restrict_size: int = 5, nu_bound: int = 0) -> Functor:
 
     @lru_cache(maxsize=256)
     def obj(g: DiGraph) -> CodedGraph:
-        return _encode(restrict(build_f_graph(g), restrict_size, rel_bound))
+        return encode(restrict(build_f_graph(g), restrict_size, rel_bound))
 
     def mor(src: DiGraph, h: Morphism, dst: DiGraph) -> RoleMap:
         return RoleMap(

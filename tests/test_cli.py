@@ -1,11 +1,21 @@
 import dataclasses
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
-from structcode import cli
-from structcode.core import parse_graph, parse_structure
+from structcode import cli, coding
+from structcode.core import (
+    DiGraph,
+    FinStructure,
+    Signature,
+    parse_graph,
+    parse_structure,
+    serialize_graph,
+    serialize_structure,
+)
 
 
 def run_cli(argv):
@@ -268,6 +278,100 @@ def test_bad_budget_env_is_input_error(files, monkeypatch, capsys, value):
     assert capsys.readouterr().err == (
         f"error: STRUCTCODE_BUDGET: expected a non-negative integer, got {value!r}\n"
     )
+
+
+def test_decode_huge_declared_arity(tmp_path, capsys):
+    # memory and time used to grow with the declared arity, not with the input
+    empty = tmp_path / "empty.g"
+    empty.write_text(serialize_graph(coding.encode(FinStructure.of(Signature(()), 0)).graph))
+    code, out = run_cli(["decode", "--graph", str(empty), "--sig", "R/2000000"])
+    assert code == 0 and out == "sig R/2000000\nsize 0\n"
+    one = tmp_path / "one.g"
+    one.write_text(serialize_graph(coding.encode(FinStructure.of(Signature(()), 1)).graph))
+    capsys.readouterr()
+    code, out = run_cli(["decode", "--graph", str(one), "--sig", "R/2000000"])
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert err.startswith("error: relation R of arity 2000000") and len(err) < 200
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: encode and decode on generated files
+
+
+@st.composite
+def structures(draw):
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    sig = Signature(tuple((f"R{i}", arity) for i, arity in enumerate(arities)))
+    size = draw(st.integers(0, 3))
+    tuples = sorted((name, t) for name, arity in sig.relations
+                    for t in product(range(size), repeat=arity))
+    facts = draw(st.sets(st.sampled_from(tuples))) if tuples else set()
+    return FinStructure(sig, size, frozenset(facts))
+
+
+# (operation, edge pick, vertex pick): drop, add or redirect one edge
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["drop", "add", "redirect"]), st.integers(0, 10**6),
+              st.integers(0, 10**6)),
+    max_size=3,
+)
+
+
+def _mutate(g, mutations):
+    edges = set(g.edges)
+    for op, i, j in mutations:
+        if op == "add":
+            u = i % g.size
+            edges.add((u, (u + 1 + j % (g.size - 1)) % g.size))
+        elif edges:
+            u, v = sorted(edges)[i % len(edges)]
+            edges.discard((u, v))
+            if op == "redirect":
+                edges.add((u, (u + 1 + j % (g.size - 1)) % g.size))
+    return DiGraph.of(g.size, edges)
+
+
+def _run_twice(argv):
+    """Exit code, stdout and stderr of two identical calls, which must agree."""
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code in (0, 3) and "Traceback" not in err
+    assert (err == "") == (code == 0) and err.count("\n") <= 1
+    return code, out
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(structures(), MUTATIONS, st.booleans())
+def test_cli_encode_decode_fuzz(fuzz_dir, s, mutations, with_sig):
+    st_file, g_file = fuzz_dir / "fuzz.st", fuzz_dir / "fuzz.g"
+    st_file.write_text(serialize_structure(s))
+    code, out = _run_twice(["encode", "--structure", str(st_file)])
+    assert code == 0 and out == serialize_graph(coding.encode(s).graph)
+
+    g = _mutate(coding.encode(s).graph, mutations)
+    g_file.write_text(serialize_graph(g))
+    sig_args = ["--sig", " ".join(f"{n}/{a}" for n, a in s.sig.relations)] if with_sig else []
+    code, out = _run_twice(["decode", "--graph", str(g_file), *sig_args])
+    sig = s.sig if with_sig else None
+    if code == 0:
+        assert out == serialize_structure(coding.decode(g, sig))
+    else:
+        assert out == ""
+        with pytest.raises(coding.MalformedCoding):
+            coding.decode(g, sig)
+    if not mutations and with_sig:
+        assert parse_structure(out) == s
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+import hashlib
 import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,7 +21,14 @@ from structcode.coding import (
     render_provenance,
     render_role,
 )
-from structcode.core import DiGraph, FinStructure, Morphism, Signature, simple_cycles
+from structcode.core import (
+    DiGraph,
+    FinStructure,
+    Morphism,
+    Signature,
+    serialize_graph,
+    simple_cycles,
+)
 from structcode.search import find_isomorphism
 
 SIG_R1 = Signature.of(("R", 1))
@@ -35,6 +46,35 @@ def test_empty_structure_is_hubs_plus_cycles():
     roles = enc.roles()
     assert roles[0] == ("A",) and roles[1] == ("B",) and roles[2] == ("C",)
     assert sum(1 for r in roles.values() if r[0] == "cycle") == 15
+
+
+# sha256 of serialize_graph(enc.graph) + render_provenance(enc): pins the
+# vertex numbering and the provenance, not just the graph's shape
+GOLDEN_ENCODINGS = {
+    "empty": (FinStructure.of(Signature.of(("R", 2)), 0),
+              "63f5c84003bcabf249191d63c2ae1a31fee50ecd5b76101b90d13ba0fdd99f82"),
+    "unary": (FinStructure.of(SIG_R1, 2, [("R", (1,))]),
+              "fedaea12e708e68ad82192cde2ebfb1d3fb8a1a0f7032da6e20224da42a62eca"),
+    "ternary": (FinStructure.of(SIG_R3, 2, [("R", (0, 1, 0)), ("R", (1, 1, 1))]),
+                "0dba4055a463ff4afe4a23549b3acb8af29238ac10f8b6ea95bded728f44735d"),
+    "repeated": (FinStructure.of(Signature.of(("E", 2), ("F", 2)), 2,
+                                 [("E", (0, 1)), ("F", (1, 0)), ("F", (1, 1))]),
+                 "9cd632c196cbea71192e8d09c589a7c4e41a043d9263581b3f053234051acb44"),
+    "mixed": (FinStructure.of(Signature.of(("P", 1), ("E", 2), ("T", 3)), 3,
+                              [("P", (2,)), ("E", (0, 2)), ("E", (2, 0)), ("T", (1, 0, 2))]),
+              "6198f7b3ec0de7dde2b45131dac156beb5758a6296ee32aa8a43cf3b631d0798"),
+    "mixed_repeated": (FinStructure.of(Signature.of(("P", 1), ("Q", 1), ("E", 2)), 3,
+                                       [("P", (0,)), ("Q", (0,)), ("E", (1, 2))]),
+                       "9fd868c23253be959d1337b4ff5b7931d2dfc041efea5d34915ef20e7cd555a2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENCODINGS))
+def test_golden_encoding(name):
+    s, digest = GOLDEN_ENCODINGS[name]
+    enc = encode(s)
+    text = serialize_graph(enc.graph) + render_provenance(enc)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_unary_fact_gadget_shape():
@@ -193,6 +233,109 @@ def test_second_out_edge_on_last_chain_node_rejected(sig):
     g = DiGraph.of(enc.graph.size, set(enc.graph.edges) | {(last, 2)})
     with pytest.raises(MalformedCoding, match="chain node with out-degree != 1"):
         decode_full(g, sig)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) with its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_huge_arity_on_empty_universe_allocates_nothing():
+    sig = Signature.of(("R", 10**6))
+    s = FinStructure.of(sig, 0)
+    encode.cache_clear()
+    decode_full.cache_clear()
+    enc, enc_peak = _traced_peak(encode, s)
+    res, dec_peak = _traced_peak(decode_full, enc.graph, sig)
+    assert enc.graph.size == 18
+    assert res.structure == s
+    assert enc_peak < 10**6 and dec_peak < 10**6
+
+
+def test_huge_arity_with_an_element_is_malformed_with_a_short_message():
+    g = encode(FinStructure.of(Signature(()), 1)).graph
+    decode_full.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedCoding, match="arity 1000000") as exc:
+            decode_full(g, Signature.of(("R", 10**6)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(str(exc.value)) < 200
+    assert peak < 10**6
+
+
+# ---------------------------------------------------------------------------
+# the two-entry memo on encode and decode_full
+
+
+def test_memo_returns_the_same_coding_for_equal_structures():
+    facts = [("R", (0, 1, 1))]
+    a, b = FinStructure.of(SIG_R3, 2, facts), FinStructure.of(SIG_R3, 2, facts)
+    assert a == b and a is not b
+    assert encode(a) is encode(b)
+    g = encode(a).graph
+    twin = DiGraph.of(g.size, g.edges)
+    assert twin is not g
+    assert decode_full(g, SIG_R3) is decode_full(twin, SIG_R3)
+
+
+def test_memo_keys_on_the_signature():
+    g = encode(FinStructure.of(SIG_R1, 1, [("R", (0,))])).graph
+    assert decode(g, SIG_R1).sig == SIG_R1
+    assert decode(g).sig == Signature.of(("R1", 1))
+    assert decode(g, Signature.of(("S", 1))).sig == Signature.of(("S", 1))
+    assert decode(g, SIG_R1).sig == SIG_R1
+
+
+def test_memo_caches_no_exception():
+    g = DiGraph.of(3, [(0, 1), (1, 2), (2, 0)])
+    for _ in range(2):
+        with pytest.raises(MalformedCoding):
+            decode_full(g)
+        with pytest.raises(MalformedCoding):
+            lambda_graph(g)
+
+
+def test_memo_holds_two_entries():
+    for n in range(5):
+        encode(FinStructure.of(SIG_R1, n))
+    assert encode.cache_info().currsize == encode.cache_info().maxsize == 2
+    assert decode_full.cache_info().maxsize == 2
+
+
+def _round_trip_pairs(s):
+    return canonical_iso(s).pairs, lambda_graph(encode(s).graph, s.sig).pairs
+
+
+def test_memo_is_transparent():
+    rng = random.Random(37)
+    structures = [corpus.random_structure(rng, max_size=3) for _ in range(20)]
+    warm = [_round_trip_pairs(s) for s in structures]
+    cold = []
+    for s in structures:
+        encode.cache_clear()
+        decode_full.cache_clear()
+        cold.append(_round_trip_pairs(s))
+    assert warm == cold
+
+
+def test_memo_is_thread_safe():
+    rng = random.Random(41)
+    structures = [corpus.random_structure(rng, max_size=3) for _ in range(40)]
+    sequential = [_round_trip_pairs(s) for s in structures]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(_round_trip_pairs, structures, timeout=120)) == sequential
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
