@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -47,14 +46,6 @@ def cantor_pair(m: int, n: int) -> int:
     return (m + n) * (m + n + 1) // 2 + n
 
 
-# C7's point-by-point reference check asks the reduction oracle's holds on
-# the same few codes over and over: 19.9M calls, of which 1,024 entries miss
-# 121,030 (0.6%). C7 takes 12.8-14.9 s with this cache and 15.3-18.5 s
-# without it (3 alternating runs, 2-core VM, Python 3.11.7). restrict and
-# decode_f list facts, decomposing each point once, so the reduction-oracle
-# benchmark no longer gains from it (378 verdicts/s with, 386 without,
-# medians of 6 alternating runs).
-@lru_cache(maxsize=1024)
 def cantor_unpair(z: int) -> tuple[int, int]:
     """Inverse of cantor_pair."""
     assert z >= 0

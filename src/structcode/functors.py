@@ -28,21 +28,15 @@ from .reduction import (
 class Functor:
     """Object map plus morphism map, with probe machinery for comparisons.
 
-    mor(src, h, dst) produces an F-morphism; apply(fm, e) evaluates it at a
-    probe element; probe(F_obj) lists the elements used for extensional
-    equality; ident(obj) is the identity morphism of the source category.
+    mor(src, h, dst) produces an F-morphism, a callable evaluated at probe
+    elements; probe(F_obj) lists the elements used for extensional
+    equality. Source-category identities are Morphism.identity(obj.size).
     """
 
     name: str
     obj: Callable[[Any], Any]
     mor: Callable[[Any, Any, Any], Any]
-    apply: Callable[[Any, Any], Any]
     probe: Callable[[Any], Sequence]
-    ident: Callable[[Any], Any]
-
-
-def _morphism_ident(x) -> Morphism:
-    return Morphism.identity(x.size)
 
 
 def identity_functor() -> Functor:
@@ -50,9 +44,7 @@ def identity_functor() -> Functor:
         name="identity",
         obj=lambda s: s,
         mor=lambda src, h, dst: h,
-        apply=lambda m, e: m(e),
         probe=lambda s: range(s.size),
-        ident=_morphism_ident,
     )
 
 
@@ -62,9 +54,7 @@ def encode_functor() -> Functor:
         name="encode",
         obj=encode,
         mor=lambda src, h, dst: encode_morphism(src, dst, h),
-        apply=lambda m, e: m(e),
         probe=lambda coded: range(coded.graph.size),
-        ident=_morphism_ident,
     )
 
 
@@ -74,9 +64,7 @@ def reduction_functor(probe_size: int = 30) -> Functor:
         name="reduction",
         obj=build_f_graph,
         mor=lambda src, h, dst: induced_embedding(src, dst, h),
-        apply=lambda m, code: m(code),
         probe=lambda oracle: range(probe_size),
-        ident=_morphism_ident,
     )
 
 
@@ -100,9 +88,7 @@ def round_trip_functor() -> Functor:
         name="decode-encode",
         obj=obj,
         mor=mor,
-        apply=lambda m, e: m(e),
         probe=lambda s: range(s.size),
-        ident=_morphism_ident,
     )
 
 
@@ -170,9 +156,7 @@ def composed_functor(restrict_size: int = 5, nu_bound: int = 0) -> Functor:
         name=f"encode-after-reduction(n={restrict_size},nu={nu_bound})",
         obj=obj,
         mor=mor,
-        apply=lambda m, e: m(e),
         probe=lambda coded: range(coded.graph.size),
-        ident=_morphism_ident,
     )
 
 
@@ -204,10 +188,10 @@ def check_functor_laws(
     report = LawReport(functor=functor.name)
     for a in objects:
         fa = functor.obj(a)
-        fid = functor.mor(a, functor.ident(a), a)
+        fid = functor.mor(a, Morphism.identity(a.size), a)
         for e in functor.probe(fa):
             report.identity_checked += 1
-            got = functor.apply(fid, e)
+            got = fid(e)
             if got != e:
                 report.violations.append(
                     f"identity on {a!r}: probe {e!r} went to {got!r}"
@@ -219,8 +203,8 @@ def check_functor_laws(
         fa = functor.obj(a)
         for e in functor.probe(fa):
             report.composition_checked += 1
-            lhs = functor.apply(composite, e)
-            rhs = functor.apply(m2, functor.apply(m1, e))
+            lhs = composite(e)
+            rhs = m2(m1(e))
             if lhs != rhs:
                 report.violations.append(
                     f"composition at probe {e!r}: {lhs!r} != {rhs!r}"
@@ -242,8 +226,8 @@ def check_commuting_square(
     lam_a = lam(a)
     lam_b = lam(b)
     for e in f_functor.probe(f_functor.obj(a)):
-        lhs = lam_b(f_functor.apply(fm, e))
-        rhs = g_functor.apply(gm, lam_a(e))
+        lhs = lam_b(fm(e))
+        rhs = gm(lam_a(e))
         if lhs != rhs:
             return False
     return True

@@ -106,9 +106,12 @@ def build_f(edge_oracle: EdgeOracle) -> AtomOracle:
     """The reduction applied to an edge oracle, presented as an atom oracle.
 
     Element handles are the natural numbers themselves. The decider is pure
-    given a pure edge oracle. The fact lister decomposes each handle once and
-    reads W, N and O off the vertex markers and blocks it finds, and the tag
-    relations off each block's elements.
+    given a pure edge oracle; it decomposes only the arguments it needs, and
+    stays independent of the lister so that tests and the brute-force
+    restrict can check one against the other. The fact lister decomposes
+    each handle once, reads W, N and O off the vertex markers and blocks it
+    finds, and builds block elements only for the tag relations, which
+    shelah.tag_facts lists block by block.
     """
 
     def holds(name: str, tup: tuple) -> bool:
@@ -117,17 +120,12 @@ def build_f(edge_oracle: EdgeOracle) -> AtomOracle:
             return decompose(x)[0] == "vertex"
         if name == "N":
             x, y = tup
-            dx, dy = decompose(x), decompose(y)
-            return dx[0] == "vertex" and dy[0] == "block" and dy[1] == dx[1]
+            dy = decompose(y)
+            return dy[0] == "block" and x == vertex_code(dy[1])
         if name == "O":
             x, y, z = tup
-            dx, dy, dz = decompose(x), decompose(y), decompose(z)
-            return (
-                dx[0] == "vertex"
-                and dy[0] == "vertex"
-                and dz[0] == "block"
-                and (dz[1], dz[2]) == (dx[1], dy[1])
-            )
+            dz = decompose(z)
+            return dz[0] == "block" and x == vertex_code(dz[1]) and y == vertex_code(dz[2])
         kind, nu = shelah.split_rel_name(name)
         if kind == "R":
             (x,) = tup
@@ -136,49 +134,48 @@ def build_f(edge_oracle: EdgeOracle) -> AtomOracle:
                 return False
             return shelah.holds_R(nu, _block_elem(edge_oracle, dx[1], dx[2], dx[3]))
         x, y = tup
-        dx, dy = decompose(x), decompose(y)
-        if dx[0] != "block" or dy[0] != "block" or dx[1:3] != dy[1:3]:
+        dx = decompose(x)
+        if dx[0] != "block":
+            return False
+        dy = decompose(y)
+        if dy[0] != "block" or dx[1:3] != dy[1:3]:
             return False
         ex = _block_elem(edge_oracle, dx[1], dx[2], dx[3])
         ey = _block_elem(edge_oracle, dy[1], dy[2], dy[3])
         return shelah.holds_graphF(nu, ex, ey)
 
     def facts(handles: list, rels: list[tuple[str, int]]) -> Iterator[Fact]:
-        index = {code: i for i, code in enumerate(handles)}
-        # block elements are only needed for the tag relations
-        tagged = any(name not in ("W", "N", "O") for name, _ in rels)
         vertices: dict[int, int] = {}
-        blocks: dict[tuple[int, int], list[tuple[int, Optional[shelah.SElem]]]] = {}
+        blocks: dict[tuple[int, int], dict[int, int]] = {}  # (m, n) -> {k: position}
         for i, code in enumerate(handles):
             d = decompose(code)
             if d[0] == "vertex":
                 vertices[d[1]] = i
             else:
                 _, m, n, k = d
-                e = _block_elem(edge_oracle, m, n, k) if tagged else None
-                blocks.setdefault((m, n), []).append((i, e))
-        for name, _ in rels:
+                blocks.setdefault((m, n), {})[k] = i
+        tag_rels = []
+        for name, arity in rels:
             if name == "W":
                 yield from ((name, (i,)) for i in vertices.values())
             elif name == "N":
                 for (m, _), members in blocks.items():
                     if m in vertices:
-                        yield from ((name, (vertices[m], i)) for i, _ in members)
+                        yield from ((name, (vertices[m], i)) for i in members.values())
             elif name == "O":
                 for (m, n), members in blocks.items():
                     if m in vertices and n in vertices:
-                        yield from ((name, (vertices[m], vertices[n], i)) for i, _ in members)
+                        yield from ((name, (vertices[m], vertices[n], i)) for i in members.values())
             else:
-                kind, nu = shelah.split_rel_name(name)
-                for (m, n), members in blocks.items():
-                    for i, e in members:
-                        if kind == "R":
-                            if shelah.holds_R(nu, e):
-                                yield name, (i,)
-                        else:
-                            image = block_code(m, n, shelah.elem_index(shelah.eval_F(nu, e)))
-                            if image in index:
-                                yield name, (i, index[image])
+                tag_rels.append((name, arity))
+        if tag_rels:
+            yield from shelah.tag_facts(
+                (
+                    {_block_elem(edge_oracle, m, n, k): i for k, i in members.items()}
+                    for (m, n), members in blocks.items()
+                ),
+                tag_rels,
+            )
 
     return AtomOracle(
         relation=reduction_relation,

@@ -10,9 +10,9 @@ unary prefix relations and the graphs of the XOR maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import AtomOracle, FinStructure, Signature, all_strings, enum_string, xor_bits
+from .core import AtomOracle, Fact, FinStructure, Signature, all_strings, enum_string, xor_bits
 
 Nu = str  # a finite bit string indexing one XOR map / prefix relation
 
@@ -26,7 +26,7 @@ class SElem:
 
     def __post_init__(self):
         assert self.tail in (0, 1)
-        assert all(c in "01" for c in self.prefix)
+        assert not self.prefix.strip("01")
         if self.prefix.endswith(str(self.tail)):
             raise ValueError(f"prefix {self.prefix!r} not normalized for tail {self.tail}")
 
@@ -169,7 +169,7 @@ def rel_name(kind: str, nu: Nu) -> str:
 
 def split_rel_name(name: str) -> tuple[str, Nu]:
     kind, sep, nu = name.partition("_")
-    if sep != "_" or kind not in ("R", "gF") or not all(c in "01" for c in nu):
+    if sep != "_" or kind not in ("R", "gF") or nu.strip("01"):
         raise ValueError(f"not a tag-structure relation name: {name!r}")
     return kind, nu
 
@@ -211,20 +211,35 @@ def shelah_oracle(b: int) -> AtomOracle:
     )
 
 
+def tag_facts(
+    groups: Iterable[dict[SElem, int]], rels: Sequence[tuple[str, int]]
+) -> Iterator[Fact]:
+    """The tag facts among each group's elements, at the group's positions.
+
+    A group maps elements to positions. Within it, R_nu(i) holds where
+    holds_R(nu, x) does, and gF_nu(i, j) where eval_F(nu, x) is the element
+    at j in the same group. rels are (name, arity) pairs of tag relations;
+    each name is parsed once per call.
+    """
+    parsed = [(name, *split_rel_name(name)) for name, _ in rels]
+    for group in groups:
+        for name, kind, nu in parsed:
+            for x, i in group.items():
+                if kind == "R":
+                    if holds_R(nu, x):
+                        yield name, (i,)
+                else:
+                    j = group.get(eval_F(nu, x))
+                    if j is not None:
+                        yield name, (i, j)
+
+
 def reduct_restriction(elems: Sequence[SElem], nu_bound: int) -> FinStructure:
     """Finite structure on the given elements with all relations |nu| <= nu_bound."""
     sig = tag_signature(nu_bound)
     index = {x: i for i, x in enumerate(elems)}
     assert len(index) == len(elems), "duplicate elements"
-    facts = set()
-    for nu in all_strings(nu_bound):
-        for x, i in index.items():
-            if holds_R(nu, x):
-                facts.add((rel_name("R", nu), (i,)))
-            y = eval_F(nu, x)
-            if y in index:
-                facts.add((rel_name("gF", nu), (i, index[y])))
-    return FinStructure(sig, len(elems), frozenset(facts))
+    return FinStructure(sig, len(elems), frozenset(tag_facts([index], sig.relations)))
 
 
 def paired_reduct_restrictions(

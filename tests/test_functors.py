@@ -83,9 +83,7 @@ def test_broken_functor_reports_violations():
         name="broken",
         obj=base.obj,
         mor=broken_mor,
-        apply=base.apply,
         probe=base.probe,
-        ident=base.ident,
     )
     from structcode.core import FinStructure, Signature
 

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from structcode import corpus, shelah
+from structcode import corpus, reduction, shelah
 from structcode.core import (
     AtomOracle,
     DiGraph,
@@ -272,6 +272,43 @@ def _sweeping_lister(holds):
                     yield name, tup
 
     return facts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_listed_facts_match_decider_on_arbitrary_handles(seed):
+    # restrict hands the lister the contiguous codes 0..n-1; any distinct
+    # handles are allowed: whole blocks, vertex markers and stray codes,
+    # in any order
+    rng = random.Random(seed)
+    g = corpus.random_graph(rng, max_size=4)
+    handles = {vertex_code(rng.randrange(6)) for _ in range(4)}
+    for _ in range(2):
+        m, n = rng.randrange(5), rng.randrange(5)
+        handles.update(block_code(m, n, k) for k in range(8))
+    handles.update(rng.randrange(3000) for _ in range(12))
+    handles = sorted(handles)
+    rng.shuffle(handles)
+    oracle = build_f_graph(g)
+    rels = list(oracle.relations(reduction_rel_bound(2)))
+    listed = set(oracle.facts(handles, rels))
+    assert listed == set(_sweeping_lister(oracle.holds)(handles, rels))
+    assert {name for name, _ in listed} >= {"W", "R_", "gF_0"}
+
+
+def test_golden_decider_decompose_count(monkeypatch):
+    # the decider decomposes only the arguments it needs: N and O compare
+    # the markers by their codes, and tag relations stop at a first
+    # argument that is not a block
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return decompose(code)
+
+    monkeypatch.setattr(reduction, "decompose", counting)
+    brute = dataclasses.replace(build_f_graph(DiGraph.of(3, [(0, 1), (1, 2)])), facts=None)
+    restrict(brute, 12, reduction_rel_bound(1))
+    assert len(calls) == 2640
 
 
 def _decode_outcome(oracle, k, **kwargs):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from structcode.core import xor_bits
+from structcode.core import restrict, xor_bits
 from structcode.shelah import (
     ONE,
     ZERO,
@@ -18,6 +18,7 @@ from structcode.shelah import (
     paired_reduct_restrictions,
     reduct_iso,
     reduct_restriction,
+    shelah_oracle,
     tag_signature,
 )
 
@@ -168,6 +169,17 @@ def test_reduct_restriction_builds_expected_signature():
     s = reduct_restriction(enumerate_elems(0, 4), 1)
     assert s.size == 4
     assert s.holds("R_", (0,))  # the empty prefix holds everywhere
+
+
+@pytest.mark.parametrize("b", [0, 1])
+@pytest.mark.parametrize("nu_bound", range(4))
+def test_reduct_restriction_matches_oracle_decider(b, nu_bound):
+    # reduct_restriction lists its facts with tag_facts; restrict asks the
+    # tail-b oracle's decider on every tuple
+    rel_bound = 2 * ((1 << (nu_bound + 1)) - 1)
+    for n in range(17):
+        expected = restrict(shelah_oracle(b), n, rel_bound)
+        assert reduct_restriction(enumerate_elems(b, n), nu_bound) == expected
 
 
 def test_paired_restrictions_are_h_images():
