@@ -168,77 +168,54 @@ def _find_cycles(g: DiGraph, out: list[list[int]]):
 def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
     """Decode any isomorphic copy of a coded graph; raises MalformedCoding.
 
-    With sig the decoded structure uses its relation names and the decoder
-    checks one gadget per tuple per relation; without it, relation names are
-    synthesized as R<arity> (this requires pairwise distinct arities, which
-    is the only case shape inference can justify).
+    The hubs, elements and gadgets are read off g, one role per vertex, and
+    g is accepted exactly when these roles map it bijectively onto encode of
+    the decoded structure, edge set onto edge set: the coded shape is the one
+    encode writes. With sig the decoded structure uses its relation names
+    and must have one gadget per tuple per relation; without it, relation
+    names are synthesized as R<arity> (this requires pairwise distinct
+    arities, which is the only case shape inference can justify).
     """
     if g.allow_loops and any(u == v for u, v in g.edges):
         raise MalformedCoding("self-loop present")
     out, inn = adjacency(g)
-    by_tag = _find_cycles(g, out)
-
     roles: dict[int, Role] = {}
-    accounted: set[tuple[int, int]] = set()
+
+    def assign(v: int, role: Role) -> None:
+        if v in roles:
+            raise MalformedCoding(f"vertex {v} has roles {roles[v]} and {role}")
+        roles[v] = role
+
     hubs: dict[int, int] = {}
-    cycle_vertices: set[int] = set()
-    for tag, comp in by_tag.items():
-        comp_set = set(comp)
-        entries = [(u, v) for v in comp for u in inn[v] if u not in comp_set]
+    for tag, order in _find_cycles(g, out).items():
+        comp_set = set(order)
+        entries = [(u, v) for v in order for u in inn[v] if u not in comp_set]
         if len(entries) != 1:
             raise MalformedCoding(f"{tag}-cycle needs exactly one entry edge, found {len(entries)}")
-        hub, entry = entries[0]
-        if hub in cycle_vertices or any(hub in set(c) for c in by_tag.values()):
-            raise MalformedCoding("hub lies on a cycle")
-        hubs[tag] = hub
-        accounted.add((hub, entry))
-        order = by_tag[tag]
+        hubs[tag], entry = entries[0]
         shift = order.index(entry)
-        order = order[shift:] + order[:shift]
-        for pos, v in enumerate(order):
-            roles[v] = ("cycle", tag, pos)
-            accounted.add((v, order[(pos + 1) % tag]))
-        cycle_vertices |= comp_set
-
-    if len(set(hubs.values())) != 3:
-        raise MalformedCoding("hubs are not distinct")
+        for pos, v in enumerate(order[shift:] + order[:shift]):
+            assign(v, ("cycle", tag, pos))
     a, b, c = hubs[3], hubs[5], hubs[7]
-    roles[a] = ("A",)
-    roles[b] = ("B",)
-    roles[c] = ("C",)
+    for hub, role in zip((a, b, c), HUB_ROLES):
+        assign(hub, role)
 
-    entry3 = next(v for v in out[a] if ("cycle", 3, 0) == roles.get(v))
-    elements = sorted(v for v in out[a] if v != entry3)
+    elements = sorted(v for v in out[a] if roles.get(v) != ("cycle", 3, 0))
     elem_index = {v: i for i, v in enumerate(elements)}
-    for v in elements:
-        if v in roles:
-            raise MalformedCoding(f"element vertex {v} already classified")
-        if inn[v] != [a]:
-            raise MalformedCoding(f"element vertex {v} has in-neighbors {inn[v]}")
-        roles[v] = ("elem", elem_index[v])
-        accounted.add((a, v))
-
-    junctions_b = set(inn[b])
-    junctions_c = set(inn[c])
-    if junctions_b & junctions_c:
-        raise MalformedCoding("junction points at both polarity hubs")
+    for v, i in elem_index.items():
+        assign(v, ("elem", i))
 
     expected: dict[tuple[int, ...], tuple[str, int, int]] = {}
     if sig is not None:
         offsets = chain_offsets(sig)
-        for name, arity in sig.relations:
-            if arity > g.size:
-                continue  # no gadget has that many chains
-            key = tuple(sorted(interior_lengths(arity, offsets[name])))
-            if key in expected:
-                raise MalformedCoding("ambiguous chain profiles in signature")
-            expected[key] = (name, arity, offsets[name])
+        # no gadget has more chains than the graph has vertices
+        expected = {interior_lengths(arity, offsets[name]): (name, arity, offsets[name])
+                    for name, arity in sig.relations if arity <= g.size}
 
+    positive = set(inn[b])
     decided: dict[tuple[str, tuple[int, ...]], bool] = {}
     observed_arities: set[int] = set()
-    for y in sorted(junctions_b | junctions_c):
-        if y in roles:
-            raise MalformedCoding(f"junction {y} already classified")
+    for y in sorted(positive.union(inn[c])):
         if not inn[y]:
             raise MalformedCoding(f"junction {y} has no chains")
         chains = []
@@ -272,26 +249,16 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
                 raise MalformedCoding(f"chain profile {key} is not a plain gadget")
             name, offset = f"R{arity}", 0
             observed_arities.add(arity)
+        # the profile's lengths are distinct, one per tuple position
         by_length = {length: (starter, nodes) for length, starter, nodes in chains}
-        if len(by_length) != arity:
-            raise MalformedCoding("duplicate chain lengths in one gadget")
         tup = tuple(
             elem_index[by_length[offset + arity + k - 1][0]] for k in range(1, arity + 1)
         )
-        fact_key = (name, tup)
-        if fact_key in decided:
-            raise MalformedCoding(f"tuple {fact_key} coded twice")
-        decided[fact_key] = y in junctions_b
-        roles[y] = ("junction", name, tup)
-        accounted.add((y, b if y in junctions_b else c))
+        decided[(name, tup)] = y in positive
+        assign(y, ("junction", name, tup))
         for k in range(1, arity + 1):
-            starter, nodes = by_length[offset + arity + k - 1]
-            accounted.add((starter, nodes[0]))
-            for i, node in enumerate(nodes):
-                if node in roles:
-                    raise MalformedCoding(f"chain node {node} already classified")
-                roles[node] = ("chain", name, tup, k, i + 1)
-                accounted.add((node, nodes[i + 1] if i + 1 < len(nodes) else y))
+            for pos, node in enumerate(by_length[offset + arity + k - 1][1], 1):
+                assign(node, ("chain", name, tup, k, pos))
 
     if sig is None:
         sig = Signature(tuple((f"R{i}", i) for i in sorted(observed_arities)))
@@ -302,22 +269,27 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
             raise MalformedCoding(
                 f"relation {name} of arity {arity} needs gadgets of {arity} chains,"
                 f" more than the graph's {g.size} vertices")
-        for tup in product(range(size), repeat=arity):
-            if (name, tup) not in decided:
-                raise MalformedCoding(f"no gadget for {name}{tup}")
-    extra = [fk for fk in decided if fk[0] not in sig or len(fk[1]) != sig.arity(fk[0])]
-    if extra:
-        raise MalformedCoding(f"gadgets outside the signature: {extra}")
-
+    # counted before encode is called, so that encode builds no more
+    # vertices than g has
+    if len(decided) != sum(size ** arity for _, arity in sig.relations):
+        raise MalformedCoding(f"{len(decided)} gadgets are not one per tuple over {size} elements")
     if len(roles) != g.size:
         unclassified = [v for v in range(g.size) if v not in roles]
         raise MalformedCoding(f"unclassified vertices: {unclassified}")
-    if accounted != g.edges:
-        raise MalformedCoding("edge set does not match the coded shape")
 
     facts = frozenset(fk for fk, truth in decided.items() if truth)
     structure = FinStructure(sig, size, facts)
-    return DecodeResult(structure, tuple(sorted(roles.items())), tuple(elements))
+    coded = encode(structure)
+    vertex_of = coded.vertex_of()
+    ordered = tuple(sorted(roles.items()))
+    image = [vertex_of[role] for _, role in ordered]
+    edges = coded.graph.edges
+    # an injective image maps g's edges to distinct edges, so containment
+    # and equal counts make the edge sets equal
+    if (coded.graph.size != g.size or len(set(image)) != g.size or len(g.edges) != len(edges)
+            or not all((image[u], image[v]) in edges for u, v in g.edges)):
+        raise MalformedCoding("roles do not map the graph onto the coding of its decoding")
+    return DecodeResult(structure, ordered, tuple(elements))
 
 
 def decode(g: DiGraph, sig: Optional[Signature] = None) -> FinStructure:

@@ -84,19 +84,15 @@ def build_stage(approx: Approximation, i: int, s: int) -> StageStructure:
     if s == 0:
         return StageStructure(0, ("",), ())
     universe: list[str] = []
+    # k <= s, so enum_string(k) has at most log2(s + 1) <= s bits
     for k in range(s + 1):
-        nu = enum_string(k)
-        if len(nu) > s:
-            continue
-        term = norm_term(nu)
+        term = norm_term(enum_string(k))
         if term not in universe:
             universe.append(term)
     prefix = approx.string_prefix(i, s)
     facts = []
     for l in range(s + 1):
         mu = enum_string(l)
-        if len(mu) > s:
-            continue
         for term in universe:
             facts.append(((mu, term), _prefix_holds(mu, prefix, term)))
     return StageStructure(s, tuple(universe), tuple(sorted(facts)))

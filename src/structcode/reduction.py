@@ -18,9 +18,9 @@ from .core import (
     DiGraph,
     Fact,
     Morphism,
+    all_strings,
     cantor_pair,
     cantor_unpair,
-    enum_string,
 )
 from . import shelah
 from .search import is_embedding
@@ -275,12 +275,8 @@ def _judge_trace(trace: set, nu_bound: int, j) -> Optional[str]:
 
 
 def _trace(oracle: AtomOracle, handle, nu_bound: int) -> set[str]:
-    trace = set()
-    for k in range((1 << (nu_bound + 1)) - 1):
-        nu = enum_string(k)
-        if oracle.holds(shelah.rel_name("R", nu), (handle,)):
-            trace.add(nu)
-    return trace
+    return {nu for nu in all_strings(nu_bound)
+            if oracle.holds(shelah.rel_name("R", nu), (handle,))}
 
 
 def default_scan_cap(k: int) -> int:
@@ -381,7 +377,8 @@ def _decode_listed(oracle: AtomOracle, k: int, nu_bound: int, budget: int, limit
         if x in vertex and y in vertex and j not in w_points:
             pairs_at.setdefault(j, []).append((vertex[x], vertex[y]))
 
-    r_rels = [(shelah.rel_name("R", enum_string(i)), 1) for i in range((1 << (nu_bound + 1)) - 1)]
+    nu_of = {shelah.rel_name("R", nu): nu for nu in all_strings(nu_bound)}
+    r_rels = [(name, 1) for name in nu_of]
     undecided = {(m, n) for m in range(k) for n in range(k)}
     decided: dict[tuple[int, int], str] = {}
     inspected: dict[tuple[int, int], int] = {}
@@ -393,7 +390,7 @@ def _decode_listed(oracle: AtomOracle, k: int, nu_bound: int, budget: int, limit
             continue
         pair = min(live)
         inspected[pair] = inspected.get(pair, 0) + 1
-        trace = {shelah.split_rel_name(name)[1] for name, _ in oracle.facts([handles[j]], r_rels)}
+        trace = {nu_of[name] for name, _ in oracle.facts([handles[j]], r_rels)}
         tag = _judge_trace(trace, nu_bound, handles[j])
         if tag is not None:
             decided[pair] = tag

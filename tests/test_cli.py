@@ -374,6 +374,44 @@ def test_cli_encode_decode_fuzz(fuzz_dir, s, mutations, with_sig):
         assert parse_structure(out) == s
 
 
+@st.composite
+def graphs(draw):
+    size = draw(st.integers(0, 4))
+    pairs = [(u, v) for u in range(size) for v in range(size) if u != v]
+    return DiGraph.of(size, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+
+
+SEARCH_COMMANDS = st.sampled_from([
+    ["iso", "--left", "--right"],
+    ["embed", "--source", "--target"],
+    ["embed", "--all", "--cap", "3", "--source", "--target"],
+    ["ef", "--rounds", "2", "--left", "--right"],
+    ["ef", "--rounds", "3", "--trace", "--check", "--left", "--right"],
+])
+
+
+# two graphs, or any two inputs (a structure and a graph is an input error)
+INPUT_PAIRS = st.one_of(st.tuples(graphs(), graphs()),
+                        st.tuples(graphs() | structures(), graphs() | structures()))
+
+
+@given(INPUT_PAIRS, SEARCH_COMMANDS, st.integers(0, 30))
+def test_cli_search_fuzz(fuzz_dir, pair, command, budget):
+    files = []
+    for side, x in zip(("left", "right"), pair):
+        path = fuzz_dir / f"{side}.in"
+        path.write_text(serialize_graph(x) if isinstance(x, DiGraph) else serialize_structure(x))
+        files.append(str(path))
+    *head, left_flag, right_flag = command
+    argv = [*head, left_flag, files[0], right_flag, files[1], "--budget", str(budget)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    # 0/1 answer, 2 budget spent, 3 input error (e.g. mixed signatures)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+    assert (err.getvalue() == "") == (code in (0, 1))
+
+
 # ---------------------------------------------------------------------------
 # operation coverage over the command table
 

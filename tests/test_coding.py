@@ -224,6 +224,127 @@ def test_mutated_codings_are_rejected_or_decoded_exactly():
     assert decoded > 0
 
 
+def _golden_mutated(rng, g):
+    """g with 0-3 edges dropped, added, redirected or reversed, or spokes added."""
+    edges, size = set(g.edges), g.size
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        op = rng.choice(("drop", "add", "redirect", "reverse", "spoke"))
+        if op == "spoke":
+            edges.add((0, size))  # vertex 0 is hub a
+            size += 1
+        elif op == "add":
+            edges.add(tuple(rng.sample(range(size), 2)))
+        elif edges:
+            u, v = rng.choice(sorted(edges))
+            edges.discard((u, v))
+            if op == "redirect":
+                edges.add((u, rng.choice([w for w in range(size) if w != u])))
+            elif op == "reverse":
+                edges.add((v, u))
+    return DiGraph.of(size, edges)
+
+
+def _mismatched(rng, sig):
+    """A signature other than sig: renamed and reversed, grown, or shrunk."""
+    op = rng.choice(("rename", "grow", "shrink"))
+    if op == "rename":
+        return Signature(tuple((name.lower(), arity) for name, arity in reversed(sig.relations)))
+    if op == "grow" or len(sig.relations) == 1:
+        return Signature(sig.relations + (("X", max(a for _, a in sig.relations) + 1),))
+    return Signature(sig.relations[:-1])
+
+
+GOLDEN_DECODE_SIGS = (None, Signature.of(("E", 2), ("F", 2)),
+                      Signature.of(("P", 1), ("Q", 1), ("E", 2)))
+
+
+def test_golden_decode_outcomes():
+    # sha256 over every outcome, recorded with the decoder that checked each
+    # local fault of the coded shape on its own: pins which graphs decode
+    # and to what, for any rewrite of the decoder
+    rng = random.Random(43)
+    lines = []
+    for _ in range(1000):
+        sig = rng.choice(GOLDEN_DECODE_SIGS)
+        s = corpus.random_structure(rng, max_size=3 if sig is None else 2, sig=sig)
+        g = _golden_mutated(rng, encode(s).graph)
+        if rng.random() < 0.5:
+            g, _ = corpus.random_permuted_graph(rng, g)
+        for decode_sig in (s.sig, None, _mismatched(rng, s.sig)):
+            try:
+                res = decode_full(g, decode_sig)
+            except MalformedCoding:
+                lines.append("rejected")
+                continue
+            t = res.structure
+            lines.append(repr((t.sig.relations, t.size, sorted(t.facts), res.roles, res.elements)))
+    assert 300 < len(lines) - lines.count("rejected") < 600
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d6aba57754940a7dead6b08dc3b2946ec9bb5b171b6bfa9301a71aa9c2e99635"
+
+
+def _rewired(s, drop=(), add=(), remove=()):
+    """encode(s).graph with edges between roles dropped and added, and the
+    vertices of the roles in remove deleted (the rest renumbered in order)."""
+    enc = encode(s)
+    at = enc.vertex_of()
+    gone = {at[role] for role in remove}
+    kept = [v for v in range(enc.graph.size) if v not in gone]
+    new = {v: i for i, v in enumerate(kept)}
+    edges = set(enc.graph.edges) - {(at[u], at[v]) for u, v in drop}
+    edges |= {(at[u], at[v]) for u, v in add}
+    return DiGraph.of(len(kept), {(new[u], new[v]) for u, v in edges
+                                  if u in new and v in new})
+
+
+TWO_UNARY = FinStructure.of(SIG_R1, 2, [("R", (0,))])
+A, B, C = ("A",), ("B",), ("C",)
+ELEM0, ELEM1 = ("elem", 0), ("elem", 1)
+R0, R1 = ("junction", "R", (0,)), ("junction", "R", (1,))
+CHAIN_R1 = ("chain", "R", (1,), 1, 1)
+
+# each graph breaks one local rule of the coded shape
+MALFORMED = {
+    # the 3-cycle's hub a lies on the 5-cycle in place of its entry vertex
+    # (a cycle vertex with a second out-edge, so the cycle finder rejects it)
+    "hub_on_cycle": _rewired(
+        TWO_UNARY,
+        drop=[(B, ("cycle", 5, 0)), (("cycle", 5, 4), ("cycle", 5, 0)),
+              (("cycle", 5, 0), ("cycle", 5, 1))],
+        add=[(B, A), (("cycle", 5, 4), A), (A, ("cycle", 5, 1))]),
+    "cycles_share_a_hub": _rewired(
+        TWO_UNARY, drop=[(B, ("cycle", 5, 0))], add=[(A, ("cycle", 5, 0))]),
+    "element_with_second_in_neighbour": _rewired(TWO_UNARY, add=[(C, ELEM0)]),
+    "junction_to_both_b_and_c": _rewired(TWO_UNARY, add=[(R0, C)]),
+    # the gadget of R(1) starts at element 0, so R(0) is coded twice
+    "tuple_coded_twice": _rewired(
+        TWO_UNARY, drop=[(ELEM1, CHAIN_R1)], add=[(ELEM0, CHAIN_R1)]),
+    "missing_gadget": _rewired(TWO_UNARY, remove=[R1, CHAIN_R1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_local_fault_is_malformed(name):
+    for sig in (SIG_R1, None):
+        with pytest.raises(MalformedCoding):
+            decode_full(MALFORMED[name], sig)
+
+
+def test_many_spokes_are_rejected_before_encoding_their_gadgets():
+    # 30 elements under R/3 would need 27,000 gadgets; the graph has one
+    g = encode(FinStructure.of(SIG_R3, 1)).graph
+    g = DiGraph.of(g.size + 29, set(g.edges) | {(0, g.size + i) for i in range(29)})
+    decode_full.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedCoding):
+            decode_full(g, SIG_R3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 @pytest.mark.parametrize("sig", [SIG_R1, Signature.of(("R", 2))])
 def test_second_out_edge_on_last_chain_node_rejected(sig):
     s = FinStructure.of(sig, 2, [("R", (1,) * sig.arity("R"))])
