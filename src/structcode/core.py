@@ -158,9 +158,6 @@ class FinStructure:
     def holds(self, name: str, tup: Sequence[int]) -> bool:
         return (name, tuple(tup)) in self.facts
 
-    def facts_of(self, name: str) -> set[tuple[int, ...]]:
-        return {tup for rel, tup in self.facts if rel == name}
-
 
 @dataclass(frozen=True)
 class DiGraph:
@@ -185,12 +182,6 @@ class DiGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges
-
-    def out_neighbors(self, u: int) -> list[int]:
-        return sorted(v for (a, v) in self.edges if a == u)
-
-    def in_neighbors(self, v: int) -> list[int]:
-        return sorted(u for (u, b) in self.edges if b == v)
 
 
 GRAPH_SIG = Signature.of(("E", 2))
@@ -271,12 +262,6 @@ class Morphism:
             if s == i:
                 return t
         raise KeyError(i)
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.pairs)
-
-    def image(self) -> tuple[int, ...]:
-        return tuple(t for _, t in self.pairs)
 
     def is_total(self) -> bool:
         return len(self.pairs) == self.source_size

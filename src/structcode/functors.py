@@ -11,7 +11,6 @@ Equality of morphisms is always extensional on declared finite probes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence
 
 from .core import DiGraph, FinStructure, Morphism, restrict
@@ -140,7 +139,6 @@ def composed_functor(restrict_size: int = 5, nu_bound: int = 0) -> Functor:
     """
     rel_bound = reduction_rel_bound(nu_bound)
 
-    @lru_cache(maxsize=256)
     def obj(g: DiGraph) -> CodedGraph:
         return encode(restrict(build_f_graph(g), restrict_size, rel_bound))
 

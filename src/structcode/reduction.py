@@ -242,7 +242,7 @@ def classify_block(
     distinguishing trace at the given bound. The first element whose trace
     is exactly the all-zeros (resp. all-ones) generator trace decides S0
     (resp. S1); if the inspections are used up without a decisive trace the
-    answer is Unknown. An element claiming both full-length generator
+    answer is Unknown, as it always is at bound 0. An element claiming both full-length generator
     prefixes raises ContradictoryEvidence: no string starts with both, so
     the input is not a copy of any reduction output.
     """
@@ -264,7 +264,12 @@ def classify_block(
 
 
 def _judge_trace(trace: set, nu_bound: int, j) -> Optional[str]:
-    """Map a distinguishing trace to a tag, None when indecisive."""
+    """Map a distinguishing trace to a tag, None when indecisive.
+
+    At bound 0 both generator traces are {""}, so no trace is decisive.
+    """
+    if nu_bound == 0:
+        return None
     if "0" * nu_bound in trace and "1" * nu_bound in trace:
         raise ContradictoryEvidence(f"element {j!r} carries both generator traces")
     if trace == shelah.generator_trace(0, nu_bound):

@@ -143,6 +143,15 @@ def test_decode_f_incomplete_is_exit_1(files, tmp_path):
     code, out = run_cli(["decode-f", "--structure", str(rest), "--vertices", "2"])
     assert code == 1
     assert "# unknown" in out
+    # a bound-0 trace tells no block's tag, even on a full restriction:
+    # incomplete, not contradictory
+    code, restriction = run_cli(["reduce-f", "--graph", files["k2.g"], "--restrict", "30"])
+    rest.write_text(restriction)
+    code, out = run_cli([
+        "decode-f", "--structure", str(rest), "--vertices", "2", "--nu-bound", "0",
+    ])
+    assert code == 1
+    assert out.splitlines()[1:] == [f"# unknown {m} {n}" for m in range(2) for n in range(2)]
 
 
 def test_shelah_actions():
@@ -395,21 +404,90 @@ INPUT_PAIRS = st.one_of(st.tuples(graphs(), graphs()),
                         st.tuples(graphs() | structures(), graphs() | structures()))
 
 
-@given(INPUT_PAIRS, SEARCH_COMMANDS, st.integers(0, 30))
-def test_cli_search_fuzz(fuzz_dir, pair, command, budget):
-    files = []
-    for side, x in zip(("left", "right"), pair):
-        path = fuzz_dir / f"{side}.in"
-        path.write_text(serialize_graph(x) if isinstance(x, DiGraph) else serialize_structure(x))
-        files.append(str(path))
-    *head, left_flag, right_flag = command
-    argv = [*head, left_flag, files[0], right_flag, files[1], "--budget", str(budget)]
+def _write_input(path, x):
+    path.write_text(serialize_graph(x) if isinstance(x, DiGraph) else serialize_structure(x))
+    return str(path)
+
+
+def _run_any(argv):
+    """Exit code and stdout of one call that may end in any of the four ways."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
     # 0/1 answer, 2 budget spent, 3 input error (e.g. mixed signatures)
     assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
     assert (err.getvalue() == "") == (code in (0, 1))
+    return code, out.getvalue()
+
+
+@given(INPUT_PAIRS, SEARCH_COMMANDS, st.integers(0, 30))
+def test_cli_search_fuzz(fuzz_dir, pair, command, budget):
+    files = [_write_input(fuzz_dir / f"{side}.in", x) for side, x in zip(("left", "right"), pair)]
+    *head, left_flag, right_flag = command
+    _run_any([*head, left_flag, files[0], right_flag, files[1], "--budget", str(budget)])
+
+
+def _shelah_argv(action, nu, elem, other, tail, count, bound, m, rounds, nu_bound, log2_size):
+    argv = ["shelah", action, "--nu", nu, "--elem", elem, "--other", other, "--tail", tail,
+            "--count", str(count), "--bound", str(bound), "--m", str(m),
+            "--rounds", str(rounds), "--log2-size", str(log2_size)]
+    return argv if nu_bound is None else [*argv, "--nu-bound", str(nu_bound)]
+
+
+# element literals PREFIX:TAILBIT, normalized, or loose text that is mostly malformed
+ELEMENTS = st.one_of(
+    st.builds(lambda bits, tail: f"{bits.rstrip(tail)}:{tail}",
+              st.text("01", max_size=4), st.sampled_from("01")),
+    st.text("01:", max_size=6),
+)
+
+# argv with None standing for the generated input file; tails are drawn
+# loosely too, so malformed arguments (exit 3) come up as well
+OTHER_COMMANDS = st.one_of(
+    st.builds(lambda r, nu, budget: ["reduce-f", "--graph", None, "--restrict", str(r),
+                                     "--nu-bound", str(nu), "--budget", str(budget)],
+              st.integers(0, 40), st.integers(0, 3), st.integers(0, 10**5)),
+    st.builds(lambda k, nu, budget: ["decode-f", "--structure", None, "--vertices", str(k),
+                                     "--nu-bound", str(nu), "--budget", str(budget)],
+              st.integers(0, 5), st.integers(0, 3), st.integers(0, 50)),
+    st.builds(_shelah_argv,
+              st.sampled_from(["eval", "holds-r", "graphf", "enum", "closure", "trace",
+                               "reduct", "game"]),
+              st.text("01", max_size=4), ELEMENTS, ELEMENTS,
+              st.sampled_from(["0", "1", "2"]), st.integers(0, 12), st.integers(0, 4),
+              st.integers(0, 5), st.integers(0, 3), st.none() | st.integers(0, 3),
+              st.integers(0, 3)),
+    st.builds(lambda pattern, stages: ["limit-demo", "--pattern", pattern, "--stages", str(stages)],
+              st.text("01", max_size=6), st.integers(0, 12)),
+    st.builds(lambda kind, count, seed, size, out: [
+        "corpus", "--kind", kind, "--count", str(count), "--seed", str(seed),
+        "--max-size", str(size), *(["--out", None] if out else [])],
+              st.sampled_from(["structures", "graphs"]), st.integers(0, 5),
+              st.integers(-3, 3), st.integers(0, 4), st.booleans()),
+)
+
+
+@given(OTHER_COMMANDS, graphs() | structures())
+def test_cli_other_commands_fuzz(fuzz_dir, command, x):
+    path = _write_input(fuzz_dir / "other.in", x)
+    if command[0] == "corpus":
+        path = str(fuzz_dir / "corpus")
+    _run_any([path if arg is None else arg for arg in command])
+
+
+@given(graphs(), st.integers(0, 40), st.integers(0, 3), st.integers(0, 5), st.integers(0, 3),
+       st.integers(0, 50))
+def test_cli_reduce_f_output_decodes(fuzz_dir, g, restrict, rel_bound, k, nu_bound, budget):
+    # a genuine restriction is never an input error, whatever the bounds
+    graph = _write_input(fuzz_dir / "reduce.g", g)
+    code, restriction = _run_any(["reduce-f", "--graph", graph, "--restrict", str(restrict),
+                                  "--nu-bound", str(rel_bound)])
+    assert code == 0
+    rest = fuzz_dir / "reduce.st"
+    rest.write_text(restriction)
+    code, _ = _run_any(["decode-f", "--structure", str(rest), "--vertices", str(k),
+                        "--nu-bound", str(nu_bound), "--budget", str(budget)])
+    assert code in (0, 1)
 
 
 # ---------------------------------------------------------------------------

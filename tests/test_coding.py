@@ -221,6 +221,9 @@ def test_mutated_codings_are_rejected_or_decoded_exactly():
             mapping = {v: vertex_of[role] for v, role in res.roles}
             assert sorted(mapping) == sorted(mapping.values()) == list(range(g.size))
             assert {(mapping[u], mapping[v]) for u, v in g.edges} == coded.graph.edges
+            lam = lambda_graph(g, sig)
+            assert lam.mapping() == mapping
+            assert is_graph_embedding(g, coded.graph, lam)
     assert decoded > 0
 
 

@@ -232,6 +232,18 @@ def test_decode_budget_zero_reports_incomplete():
     assert err.value.partial == DiGraph.of(2)
 
 
+def test_nu_bound_zero_decides_no_block():
+    # at bound 0 both generator traces are {""}: every trace is indecisive,
+    # on the listing path, the decider path and in classify_block alike
+    oracle = build_f_graph(EDGE)
+    for o in (oracle, dataclasses.replace(oracle, facts=None)):
+        with pytest.raises(DecodeIncomplete) as err:
+            decode_f(o, 2, nu_bound=0)
+        assert err.value.pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert err.value.partial == DiGraph.of(2)
+    assert classify_block(oracle, vertex_code(0), vertex_code(1), 0, 50) == UNKNOWN
+
+
 def test_decode_against_finite_restriction_oracle():
     # decoding works off a materialized restriction presented as an oracle
     from structcode.core import oracle_of_structure
