@@ -144,12 +144,15 @@ class FinStructure:
     def __post_init__(self):
         if self.size < 0:
             raise ValueError("negative size")
+        arities = dict(self.sig.relations)
+        size = self.size
         for name, tup in self.facts:
-            arity = self.sig.arity(name)  # raises KeyError on unknown relation
+            arity = arities[name]  # raises KeyError on unknown relation
             if len(tup) != arity:
                 raise ValueError(f"fact {name}{tup}: expected arity {arity}")
-            if any(not (0 <= i < self.size) for i in tup):
-                raise ValueError(f"fact {name}{tup}: element out of range")
+            for i in tup:
+                if not 0 <= i < size:
+                    raise ValueError(f"fact {name}{tup}: element out of range")
 
     @classmethod
     def of(cls, sig: Signature, size: int, facts: Iterable[Fact] = ()) -> "FinStructure":

@@ -20,10 +20,12 @@ fact-count shortcut answers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from heapq import merge
 from itertools import product
 from math import factorial
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .core import (
     BudgetExhausted,
@@ -52,14 +54,19 @@ def _incidence(s: FinStructure) -> list[Incidence]:
     """The fact index of a search, read once per structure: inc[x] is x's Incidence."""
     inc: list[Incidence] = [[] for _ in range(s.size)]
     for name, tup in s.facts:
-        for x in set(tup):
-            inc[x].append((name, tuple(p for p, e in enumerate(tup) if e == x), tup))
+        if len(set(tup)) == len(tup):
+            for p, x in enumerate(tup):
+                inc[x].append((name, (p,), tup))
+        else:
+            for x in set(tup):
+                inc[x].append((name, tuple(p for p, e in enumerate(tup) if e == x), tup))
     return inc
 
 
-def _occurrences(facts: Incidence) -> Counter:
-    """How often the element sits at each (relation, position)."""
-    return Counter((name, p) for name, positions, _ in facts for p in positions)
+def _profile(facts: Incidence) -> tuple[tuple[str, int], ...]:
+    """The (relation, position) pairs the element occupies, sorted: how often
+    it sits at each."""
+    return tuple(sorted([(name, p) for name, positions, _ in facts for p in positions]))
 
 
 def _joint_colors(inc_a: list[Incidence], inc_b: list[Incidence],
@@ -68,50 +75,64 @@ def _joint_colors(inc_a: list[Incidence], inc_b: list[Incidence],
 
     Returns (colors_a, colors_b, balanced). Colours are ids shared by both
     sides, so an isomorphism maps each element to one of the same colour;
-    the initial colour of an element is its occurrence counts. Before each
-    round the two halves' colour histograms are compared; balanced=False
-    means they differed (so a and b are not isomorphic) and the colours are
-    those of the round that showed it. Otherwise the refinement runs until
-    no class splits. A round re-keys only the elements that share a fact
-    with an element whose colour changed in the previous round (Paige &
-    Tarjan 1987; Berkholz, Bonsma & Grohe 2013); the others' surroundings
-    are unchanged, so they keep their colour. Element x of b is number
-    a.size + x of the union, so b's tuples are shifted as they are read.
+    the initial colour of an element is its _profile. Before each round the
+    two halves' colour histograms are compared; balanced=False means they
+    differed (so a and b are not isomorphic) and the colours are those of
+    the round that showed it. Otherwise the refinement runs until no class
+    splits. A round re-keys only the elements that share a fact with an
+    element whose colour changed in the previous round (Paige & Tarjan
+    1987; Berkholz, Bonsma & Grohe 2013); the others' surroundings are
+    unchanged, so they keep their colour.
+
+    Element x of b is element n + x of the union, n = len(inc_a); the
+    union's incidence is built once, with b's tuples shifted by n. The
+    histogram check is kept running: per class, its members in a minus its
+    members in b, and the number of classes where that is not zero; both
+    change only when a group of elements moves to a fresh class.
     """
     n = len(inc_a)
-    incident = [*inc_a, *inc_b]
-    ids: dict[object, int] = {}
-    color = [ids.setdefault(frozenset(_occurrences(f).items()), len(ids)) for f in incident]
-    class_size = Counter(color)
-    fresh = len(ids)
+    incident = inc_a + [[(name, pos, tuple([e + n for e in tup])) for name, pos, tup in f]
+                        for f in inc_b]
+    ids: dict[tuple, int] = {}
+    color = [ids.setdefault(_profile(f), len(ids)) for f in incident]
+    size = [0] * len(ids)
+    surplus = [0] * len(ids)  # per class: members in a minus members in b
+    for x, c in enumerate(color):
+        size[c] += 1
+        surplus[c] += 1 if x < n else -1
+    unbalanced = len(surplus) - surplus.count(0)
     changed = range(len(color))
-    while True:
-        if Counter(color[:n]) != Counter(color[n:]):
-            return color[:n], color[n:], False
-        rekey = sorted({e + (n if y >= n else 0)
-                        for y in changed for _, _, tup in incident[y] for e in tup})
+    get = color.__getitem__
+    while unbalanced == 0:
+        rekey = sorted({e for y in changed for _, _, tup in incident[y] for e in tup})
         if not rekey:
             return color[:n], color[n:], True
         groups: dict[int, dict[tuple, list[int]]] = {}
         for x in rekey:
-            shift = n if x >= n else 0
-            env = tuple(sorted((name, pos, tuple([color[e + shift] for e in tup]))
-                               for name, pos, tup in incident[x]))
+            env = tuple(sorted([(name, pos, tuple(map(get, tup)))
+                                for name, pos, tup in incident[x]]))
             groups.setdefault(color[x], {}).setdefault(env, []).append(x)
         changed = []
         for c, by_env in groups.items():
             # Members not re-keyed keep the class id; if there are none,
             # the first group keeps it. Every other group gets a fresh id.
             members = iter(by_env.values())
-            if sum(map(len, by_env.values())) == class_size[c]:
+            if sum(map(len, by_env.values())) == size[c]:
                 next(members)
             for group in members:
-                class_size[c] -= len(group)
-                class_size[fresh] = len(group)
+                fresh = len(size)
+                # the group's surplus; its a-members come first, as rekey is sorted
+                moved = 2 * bisect_left(group, n) - len(group)
+                unbalanced -= surplus[c] != 0
+                surplus[c] -= moved
+                unbalanced += (surplus[c] != 0) + (moved != 0)
+                size[c] -= len(group)
+                size.append(len(group))
+                surplus.append(moved)
                 for x in group:
                     color[x] = fresh
                 changed.extend(group)
-                fresh += 1
+    return color[:n], color[n:], False
 
 
 class _Searcher:
@@ -135,14 +156,31 @@ class _Searcher:
             bucket: dict[int, list[int]] = {}
             for t, c in enumerate(dst_color):
                 bucket.setdefault(c, []).append(t)
-            self.candidates = [bucket.get(c, []) for c in src_color]
+            self.candidates = [bucket.get(c, []) for c in src_color].__getitem__
         else:
             self.feasible = True
-            dst_occ = [_occurrences(f) for f in self.dst_inc]
-            self.candidates = [
-                [t for t, occ in enumerate(dst_occ) if not (src_occ - occ)]
-                for src_occ in map(_occurrences, self.src_inc)
-            ]
+            # Target elements bucketed by occurrence profile: t is a candidate
+            # for x iff t's profile dominates x's, so x's candidates, in index
+            # order, merge the buckets that dominate x's profile. Nothing of
+            # size source.size * target.size is built up front.
+            buckets: dict[tuple, list[int]] = {}
+            for t, f in enumerate(self.dst_inc):
+                buckets.setdefault(_profile(f), []).append(t)
+            self.buckets = [(Counter(p), ts) for p, ts in buckets.items()]
+            self.src_profile = [_profile(f) for f in self.src_inc]
+            self.dominating: dict[tuple, list[list[int]]] = {}
+            self.candidates = self._dominating
+
+    def _dominating(self, x: int) -> Iterable[int]:
+        """x's embedding candidates in index order. The buckets they come
+        from are found on first use, once per source profile."""
+        profile = self.src_profile[x]
+        lists = self.dominating.get(profile)
+        if lists is None:
+            occ = Counter(profile)
+            lists = self.dominating[profile] = [ts for dst, ts in self.buckets
+                                                if not (occ - dst)]
+        return lists[0] if len(lists) == 1 else merge(*lists)
 
     def _consistent(self, fwd: dict[int, int], bwd: dict[int, int], x: int, t: int) -> bool:
         fwd[x] = t
@@ -188,7 +226,7 @@ class _Searcher:
                 if cap is None:
                     return found, True
             else:
-                stack.append(iter(self.candidates[self.order[len(stack)]]))
+                stack.append(iter(self.candidates(self.order[len(stack)])))
             # Move the deepest level to its next consistent candidate,
             # dropping exhausted levels; an empty stack ends the search.
             while stack:

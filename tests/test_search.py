@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -142,6 +143,23 @@ def test_budget_exhaustion_reports_nodes():
         find_embedding(k(3), k(4), budget=2)
     assert str(err.value) == "embedding search exceeded 2 nodes"
     assert (err.value.used, err.value.budget) == (3, 2)
+
+
+def test_large_embedding_small_budget_builds_nothing_quadratic():
+    # Embedding candidates are merged from buckets of equal occurrence
+    # profile as the search reaches each element: two edgeless 2,000-vertex
+    # graphs take memory in proportion to their size, not to the 4 * 10^6
+    # pairs between them
+    g = DiGraph.of(2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted) as err:
+            find_embedding(g, g, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.used == 11
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +375,44 @@ def test_joint_colors_match_full_round_refinement():
             planted_seen += 1
         checked += 1
     assert checked >= 1000 and planted_seen >= 400
+
+
+def test_joint_colors_match_reference_on_larger_and_unequal_pairs():
+    # codings of 3-element structures, planted and independent, and pairs
+    # of unequal sizes, as equiv_n passes them
+    rng = random.Random(53)
+
+    def three_elements(sig=None):
+        while True:
+            s = corpus.random_structure(rng, max_size=3, sig=sig, max_relations=2, max_arity=2)
+            if s.size == 3:
+                return s
+
+    planted_seen = 0
+    for i in range(12):
+        a = three_elements()
+        planted = i % 2 == 0
+        b = corpus.random_permuted_copy(rng, a)[0] if planted else three_elements(a.sig)
+        ga = structure_of_graph(encode(a).graph)
+        gb = structure_of_graph(encode(b).graph)
+        if planted:
+            gb = corpus.random_permuted_copy(rng, gb)[0]
+        got = joint_partition(ga, gb)
+        assert got == reference_refinement(ga, gb)
+        if planted:
+            assert got[1]
+            planted_seen += 1
+    assert planted_seen == 6
+    unequal = 0
+    for _ in range(200):
+        a = corpus.random_structure(rng, max_size=6)
+        b = corpus.random_structure(rng, max_size=6, sig=a.sig)
+        got = joint_partition(a, b)
+        assert got == reference_refinement(a, b)
+        if a.size != b.size:
+            assert not got[1]
+            unequal += 1
+    assert unequal >= 100
 
 
 def test_repeated_elements_split_classes():
