@@ -20,6 +20,7 @@ from .core import (
     BudgetExhausted,
     FinStructure,
     Signature,
+    atoms,
     restrict,
     simple_cycles,
 )
@@ -384,12 +385,8 @@ def _oracle_embedding_check(src: FinStructure, target_oracle, images: list[int])
     """
     if len(set(images)) != len(images):
         return False
-    for name, arity in src.sig.relations:
-        for tup in itertools.product(range(src.size), repeat=arity):
-            mapped = tuple(images[x] for x in tup)
-            if src.holds(name, tup) != target_oracle.holds(name, mapped):
-                return False
-    return True
+    return all(src.holds(name, tup) == target_oracle.holds(name, tuple(images[x] for x in tup))
+               for name, tup in atoms(src.sig, range(src.size)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Optional
 
-from .core import DiGraph, FinStructure, Morphism, Signature, _cyclic_components, adjacency
+from .core import DiGraph, FinStructure, Morphism, Signature, _cyclic_components, adjacency, atoms
 from .search import is_embedding
 
 Role = tuple
@@ -95,21 +94,22 @@ def encode(s: FinStructure) -> CodedGraph:
         edges.append((a, len(roles)))
         roles.append(("elem", x))
 
-    # an empty universe has no tuples, however large the arities
-    for name, arity in s.sig.relations if s.size else ():
-        lengths = interior_lengths(arity, offsets[name])
-        for tup in product(range(s.size), repeat=arity):
-            y = len(roles)
-            roles.append(("junction", name, tup))
-            for k, length in enumerate(lengths, 1):
-                prev = elem_base + tup[k - 1]
-                for pos in range(1, length + 1):
-                    v = len(roles)
-                    edges.append((prev, v))
-                    roles.append(("chain", name, tup, k, pos))
-                    prev = v
-                edges.append((prev, y))
-            edges.append((y, b if s.holds(name, tup) else c))
+    # chain lengths at a relation's first tuple: none on an empty universe
+    rel = None
+    for name, tup in atoms(s.sig, range(s.size)):
+        if name != rel:
+            rel, lengths = name, interior_lengths(len(tup), offsets[name])
+        y = len(roles)
+        roles.append(("junction", name, tup))
+        for k, length in enumerate(lengths, 1):
+            prev = elem_base + tup[k - 1]
+            for pos in range(1, length + 1):
+                v = len(roles)
+                edges.append((prev, v))
+                roles.append(("chain", name, tup, k, pos))
+                prev = v
+            edges.append((prev, y))
+        edges.append((y, b if s.holds(name, tup) else c))
 
     graph = DiGraph(len(roles), frozenset(edges))
     return CodedGraph(graph, tuple(enumerate(roles)))

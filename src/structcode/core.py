@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_BUDGET = 10 ** 7
@@ -160,6 +160,15 @@ class FinStructure:
 
     def holds(self, name: str, tup: Sequence[int]) -> bool:
         return (name, tuple(tup)) in self.facts
+
+
+def atoms(sig: Signature, elems: Sequence[int]) -> Iterator[Fact]:
+    """Every atom (name, tuple) of sig over elems: relations in signature
+    order, each one's tuples in product order. On an empty elems nothing is
+    allocated, whatever the arities; product would allocate arity slots."""
+    if elems:
+        for name, arity in sig.relations:
+            yield from zip(repeat(name), product(elems, repeat=arity))
 
 
 @dataclass(frozen=True)
@@ -373,12 +382,9 @@ def restrict(
     handles = oracle.elements(n)
     if oracle.facts is not None:
         return FinStructure(sig, cap, frozenset(oracle.facts(handles, rels)))
-    facts = set()
-    for name, arity in rels:
-        for tup in product(range(cap), repeat=arity):
-            if oracle.holds(name, tuple(handles[i] for i in tup)):
-                facts.add((name, tup))
-    return FinStructure(sig, cap, frozenset(facts))
+    facts = frozenset((name, tup) for name, tup in atoms(sig, range(cap))
+                      if oracle.holds(name, tuple(handles[i] for i in tup)))
+    return FinStructure(sig, cap, facts)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ identical corpora, which the CLI's determinism guarantee relies on.
 from __future__ import annotations
 
 import random
-from itertools import product
 from typing import Optional
 
-from .core import DiGraph, FinStructure, Morphism, Signature
+from .core import DiGraph, FinStructure, Morphism, Signature, atoms
 
 _REL_NAMES = ("R", "S", "T", "U")
 
@@ -33,12 +32,8 @@ def random_structure(
         sig = random_signature(rng, max_relations, max_arity)
     size = rng.randint(0, max_size)
     density = rng.choice((0.2, 0.5, 0.8))
-    facts = set()
-    for name, arity in sig.relations:
-        for tup in product(range(size), repeat=arity):
-            if rng.random() < density:
-                facts.add((name, tup))
-    return FinStructure(sig, size, frozenset(facts))
+    facts = frozenset(atom for atom in atoms(sig, range(size)) if rng.random() < density)
+    return FinStructure(sig, size, facts)
 
 
 def random_graph(rng: random.Random, max_size: int = 6, min_size: int = 0) -> DiGraph:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product, repeat
 from typing import Optional, Sequence
 
-from .core import BudgetExhausted, DEFAULT_BUDGET, FinStructure
+from .core import BudgetExhausted, DEFAULT_BUDGET, FinStructure, atoms
 from .search import Structish, _as_structure, _incidence, _joint_colors
 
 DUPLICATOR = "Duplicator"
@@ -56,12 +56,8 @@ def _pebbles_partial_iso(left: FinStructure, right: FinStructure,
             return False
         if bwd.setdefault(r, l) != l:
             return False
-    lefts = sorted(fwd)
-    for name, arity in left.sig.relations:
-        for tup in product(lefts, repeat=arity):
-            if left.holds(name, tup) != right.holds(name, tuple(fwd[x] for x in tup)):
-                return False
-    return True
+    return all(left.holds(name, tup) == right.holds(name, tuple(fwd[x] for x in tup))
+               for name, tup in atoms(left.sig, sorted(fwd)))
 
 
 def _extends(left: FinStructure, right: FinStructure, fwd: dict[int, int],
@@ -195,6 +191,17 @@ def ef_trace(left: Structish, right: Structish, n: int,
 # Back-and-forth hierarchy
 
 
+class _SameColorFirst(dict):
+    """Replies per colour c: colour c first, index order within; built on first use."""
+
+    def __init__(self, colors: list[int]):
+        self.colors = colors
+
+    def __missing__(self, c: int) -> list[int]:
+        self[c] = order = sorted(range(len(self.colors)), key=lambda x: self.colors[x] != c)
+        return order
+
+
 def equiv_n(left: Structish, right: Structish, n: int,
             budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the structures are n-back-and-forth equivalent.
@@ -211,9 +218,7 @@ def equiv_n(left: Structish, right: Structish, n: int,
         raise ValueError("structures must share a signature")
     assert n >= 0
     lcol, rcol, _ = _joint_colors(_incidence(ls), _incidence(rs))
-    # response candidates per colour: that colour first, index order within
-    right_for = {c: sorted(range(rs.size), key=lambda b: rcol[b] != c) for c in set(lcol)}
-    left_for = {c: sorted(range(ls.size), key=lambda a: lcol[a] != c) for c in set(rcol)}
+    right_for, left_for = _SameColorFirst(rcol), _SameColorFirst(lcol)
     lsize = ls.size
     memo: dict[tuple[frozenset[tuple[int, int]], int], bool] = {}
     visited = 0

@@ -23,7 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from heapq import merge
-from itertools import product
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -33,6 +32,7 @@ from .core import (
     DiGraph,
     FinStructure,
     Morphism,
+    atoms,
     structure_of_graph,
 )
 
@@ -114,12 +114,12 @@ def _joint_colors(inc_a: list[Incidence], inc_b: list[Incidence],
             groups.setdefault(color[x], {}).setdefault(env, []).append(x)
         changed = []
         for c, by_env in groups.items():
-            # Members not re-keyed keep the class id; if there are none,
-            # the first group keeps it. Every other group gets a fresh id.
-            members = iter(by_env.values())
-            if sum(map(len, by_env.values())) == size[c]:
-                next(members)
-            for group in members:
+            # Members not re-keyed keep the class id, or else the largest
+            # group does (Hopcroft 1971); every other group gets a fresh id.
+            moving = list(by_env.values())
+            if sum(map(len, moving)) == size[c]:
+                moving.remove(max(moving, key=len))
+            for group in moving:
                 fresh = len(size)
                 # the group's surplus; its a-members come first, as rekey is sorted
                 moved = 2 * bisect_left(group, n) - len(group)
@@ -319,12 +319,8 @@ def is_embedding(source: Structish, target: Structish, m: Morphism) -> bool:
     if not m.is_total():
         return False
     mapping = m.mapping()
-    for name, arity in src.sig.relations:
-        for tup in product(range(src.size), repeat=arity):
-            image = tuple(mapping[x] for x in tup)
-            if src.holds(name, tup) != dst.holds(name, image):
-                return False
-    return True
+    return all(src.holds(name, tup) == dst.holds(name, tuple(mapping[x] for x in tup))
+               for name, tup in atoms(src.sig, range(src.size)))
 
 
 def is_isomorphism(a: Structish, b: Structish, m: Morphism) -> bool:

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,7 @@ from structcode.core import (
     all_strings,
     atomic_diagram_prefix,
     atomic_sentence,
+    atoms,
     cantor_pair,
     cantor_unpair,
     enum_string,
@@ -247,6 +250,36 @@ def test_restrict_budget_stops_relation_enumeration():
         restrict(oracle, 2, rel_bound=1000, query_budget=10)
     assert asked == list(range(6))
     assert (err.value.used, err.value.budget) == (12, 10)
+
+
+def test_atoms_sweep_relations_in_order_then_tuples_in_product_order():
+    sig = Signature.of(("S", 2), ("R", 1), ("T", 3))
+    for elems in ([], [4], [1, 3], range(3)):
+        assert list(atoms(sig, elems)) == [
+            (name, tup) for name, arity in sig.relations for tup in product(elems, repeat=arity)
+        ]
+
+
+def test_full_sweeps_on_an_empty_universe_allocate_nothing():
+    # product(range(0), repeat=arity) sets up arity slots before finding no
+    # tuple: about 240 MB at this arity
+    from structcode.efgames import GameState, partial_iso_check
+    from structcode.search import is_embedding
+
+    s = FinStructure.of(Signature.of(("R", 10**7)), 0)
+    sweeps = (
+        lambda: restrict(oracle_of_structure(s), 0) == s,
+        lambda: is_embedding(s, s, Morphism(0, 0, ())),
+        lambda: partial_iso_check(GameState(s, s, (), 0)),
+    )
+    for sweep in sweeps:
+        tracemalloc.start()
+        try:
+            assert sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 # ---------------------------------------------------------------------------

@@ -254,17 +254,21 @@ def test_hierarchy_budget_exhaustion_reports_maps():
 def test_large_pair_small_budget_builds_nothing_quadratic():
     # Duplicator's replies are generated move by move: at 0 rounds, or with
     # a budget of 10, two edgeless 1,000-element structures take memory in
-    # proportion to their size, not to the 10^6 pairs between them
+    # proportion to their size, not to the 10^6 pairs between them. A
+    # 1,000-vertex directed path refines to 1,000 colours; equiv_n builds
+    # a colour's reply order only when a move of that colour is answered
     big = FinStructure(SIG, 1000, frozenset())
+    path = FinStructure(SIG, 1000, frozenset(("E", (i, i + 1)) for i in range(999)))
     tracemalloc.start()
     try:
         assert ef_winner(big, big, 0) == DUPLICATOR
         assert equiv_n(big, big, 0)
         assert ef_trace(big, big, 0) == (DUPLICATOR, [])
-        for solve in (ef_winner, equiv_n, ef_trace):
-            with pytest.raises(BudgetExhausted) as err:
-                solve(big, big, 1, budget=10)
-            assert err.value.used == 11
+        for s in (big, path):
+            for solve in (ef_winner, equiv_n, ef_trace):
+                with pytest.raises(BudgetExhausted) as err:
+                    solve(s, s, 1, budget=10)
+                assert err.value.used == 11
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

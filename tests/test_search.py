@@ -1,10 +1,11 @@
+import builtins
 import itertools
 import random
 import tracemalloc
 
 import pytest
 
-from structcode import corpus
+from structcode import corpus, search
 from structcode.coding import encode, is_graph_embedding
 from structcode.core import BudgetExhausted, DiGraph, FinStructure, Signature, structure_of_graph
 from structcode.search import (
@@ -434,6 +435,28 @@ def test_positions_in_shared_facts_split_classes():
     partition, balanced = joint_partition(s, s)
     assert balanced and (partition, balanced) == reference_refinement(s, s)
     assert frozenset({0, 4}) in partition and frozenset({1, 5}) in partition
+
+
+@pytest.mark.parametrize("edges, most", [
+    ([(i, i + 1) for i in range(1999)], 25_000),
+    ([(i, (i + 1) % 2000) for i in range(2000)], 8_002),
+])
+def test_refinement_work_is_near_linear_on_paths_and_cycles(monkeypatch, edges, most):
+    # sorted calls count _joint_colors' work: one per element for its
+    # profile, one per round, and one per re-keyed element per round. On a
+    # directed path the largest group keeping its class id keeps this near
+    # linear; when the first group kept it, the whole middle of the path
+    # was re-keyed each round, 2,008,999 calls
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return builtins.sorted(*args, **kwargs)
+
+    monkeypatch.setattr(search, "sorted", counting, raising=False)
+    s = structure_of_graph(DiGraph.of(2000, edges))
+    _, _, balanced = _joint_colors(_incidence(s), _incidence(s))
+    assert balanced and len(calls) <= most
 
 
 def test_isomorphism_respects_joint_colors():
