@@ -23,6 +23,7 @@ from .core import (
     atoms,
     restrict,
     simple_cycles,
+    xor_bits,
 )
 
 DEFAULT_SEED = 20260808
@@ -55,12 +56,17 @@ def _timed(fn: Callable[[], CriterionResult]) -> CriterionResult:
 # C1: coding round-trip through the canonical isomorphism
 
 
+def _coding_corpus(seed: int):
+    """The 200 structures that C1 and C4 both check."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        yield corpus.random_structure(rng, max_size=4, max_relations=3, max_arity=3)
+
+
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run() -> CriterionResult:
-        rng = random.Random(seed)
         failures = 0
-        for _ in range(200):
-            s = corpus.random_structure(rng, max_size=4, max_relations=3, max_arity=3)
+        for s in _coding_corpus(seed):
             try:
                 m = coding.canonical_iso(s)  # verifies pointwise internally
                 back = coding.decode(coding.encode(s).graph, s.sig)
@@ -188,10 +194,8 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run() -> CriterionResult:
-        rng = random.Random(seed)  # same corpus as C1
         failures = 0
-        for _ in range(200):
-            s = corpus.random_structure(rng, max_size=4, max_relations=3, max_arity=3)
+        for s in _coding_corpus(seed):
             cycles = simple_cycles(coding.encode(s).graph)
             if sorted(len(c) for c in cycles) != [3, 5, 7]:
                 failures += 1
@@ -229,6 +233,16 @@ def _canonical_binary_structures(max_size: int) -> list[FinStructure]:
     return reps
 
 
+def pinned_k2_k3() -> bool:
+    """K2 and K3 agree for 2 rounds; Spoiler tells them apart in 3."""
+    k2 = corpus.complete_graph_structure(2)
+    k3 = corpus.complete_graph_structure(3)
+    return (
+        efgames.ef_winner(k2, k3, 2) == efgames.DUPLICATOR
+        and efgames.ef_winner(k2, k3, 3) == efgames.SPOILER
+    )
+
+
 def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run() -> CriterionResult:
         disagreements = 0
@@ -256,13 +270,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
                 checked += 1
                 if game != hier:
                     disagreements += 1
-        # pinned values
-        k2 = corpus.complete_graph_structure(2)
-        k3 = corpus.complete_graph_structure(3)
-        pinned_ok = (
-            efgames.ef_winner(k2, k3, 2) == efgames.DUPLICATOR
-            and efgames.ef_winner(k2, k3, 3) == efgames.SPOILER
-        )
+        pinned_ok = pinned_k2_k3()
         return CriterionResult(
             "C5",
             disagreements == 0 and pinned_ok,
@@ -283,44 +291,44 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def _random_selem(rng: random.Random, max_prefix: int = 6) -> shelah.SElem:
     tail = rng.randint(0, 1)
-    bits = "".join(str(rng.randint(0, 1)) for _ in range(rng.randint(0, max_prefix)))
-    return shelah.SElem.make(bits, tail)
+    return shelah.SElem.make(corpus.random_bits(rng, max_prefix), tail)
 
 
-def _random_nu(rng: random.Random, max_len: int = 6) -> str:
-    return "".join(str(rng.randint(0, 1)) for _ in range(rng.randint(0, max_len)))
+def eval_F_law_failures(rng: random.Random, count: int, draw_elem) -> int:
+    """Involution and composition failures of F on count (nu, mu, x); x from draw_elem(rng)."""
+    failures = 0
+    for _ in range(count):
+        nu, mu = corpus.random_bits(rng, 6), corpus.random_bits(rng, 6)
+        x = draw_elem(rng)
+        failures += shelah.eval_F(nu, shelah.eval_F(nu, x)) != x
+        failures += shelah.eval_F(mu, shelah.eval_F(nu, x)) != shelah.eval_F(xor_bits(mu, nu), x)
+    return failures
+
+
+def reduct_iso_failures(rng: random.Random, count: int, draw_elem) -> int:
+    """R and graph(F) queries that reduct_iso(m) does not preserve; elements from draw_elem(rng)."""
+    failures = 0
+    for _ in range(count):
+        m = rng.randint(0, 4)
+        h = shelah.reduct_iso(m)
+        nu = corpus.random_bits(rng, m)
+        x, y = draw_elem(rng), draw_elem(rng)
+        failures += shelah.holds_R(nu, x) != shelah.holds_R(nu, h(x))
+        failures += shelah.holds_graphF(nu, x, y) != shelah.holds_graphF(nu, h(x), h(y))
+    return failures
 
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run() -> CriterionResult:
         rng = random.Random(seed + 6)
-        failures = 0
-        from .core import xor_bits
-
-        for _ in range(1000):
-            nu, mu = _random_nu(rng), _random_nu(rng)
-            x = _random_selem(rng)
-            if shelah.eval_F(nu, shelah.eval_F(nu, x)) != x:
-                failures += 1
-            lhs = shelah.eval_F(mu, shelah.eval_F(nu, x))
-            if lhs != shelah.eval_F(xor_bits(mu, nu), x):
-                failures += 1
+        failures = eval_F_law_failures(rng, 1000, _random_selem)
         closure_failures = 0
         for _ in range(20):
             x = _random_selem(rng)
             for bound in range(7):
                 if len(shelah.closure(x, bound)) != (1 << bound):
                     closure_failures += 1
-        reduct_failures = 0
-        for _ in range(500):
-            m = rng.randint(0, 4)
-            h = shelah.reduct_iso(m)
-            nu = _random_nu(rng, m)
-            x, y = _random_selem(rng), _random_selem(rng)
-            if shelah.holds_R(nu, x) != shelah.holds_R(nu, h(x)):
-                reduct_failures += 1
-            if shelah.holds_graphF(nu, x, y) != shelah.holds_graphF(nu, h(x), h(y)):
-                reduct_failures += 1
+        reduct_failures = reduct_iso_failures(rng, 500, _random_selem)
         total = failures + closure_failures + reduct_failures
         return CriterionResult(
             "C6",
@@ -393,6 +401,17 @@ def _oracle_embedding_check(src: FinStructure, target_oracle, images: list[int])
 # C8: limit construction
 
 
+def stage_chain(approx: limits.Approximation, stages: int) -> tuple[int, limits.StageStructure]:
+    """Build stages 0..stages; return the count of steps that do not nest, and the last stage."""
+    prev = limits.build_stage(approx, 0, 0)
+    breaks = 0
+    for s in range(1, stages + 1):
+        cur = limits.build_stage(approx, 0, s)
+        breaks += not limits.is_substage(prev, cur)
+        prev = cur
+    return breaks, prev
+
+
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run() -> CriterionResult:
         rng = random.Random(seed + 8)
@@ -402,16 +421,11 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         for _ in range(100):
             pattern = corpus.random_pattern(rng, stabilize_by=20)
             approx = limits.Approximation.from_pattern(pattern)
-            prev = limits.build_stage(approx, 0, 0)
-            for s in range(1, 31):
-                cur = limits.build_stage(approx, 0, s)
-                if not limits.is_substage(prev, cur):
-                    nesting_failures += 1
-                prev = cur
+            breaks, stage = stage_chain(approx, 30)
+            nesting_failures += breaks
             promised = "S0" if pattern[-1] == "0" else "S1"
             if limits.classify_limit(approx, 0, approx.promised_stabilization) != promised:
                 classify_failures += 1
-            stage = limits.build_stage(approx, 0, 30)
             left = limits.stage_restriction(stage, 3)
             right = limits.limit_restriction(approx, 0, stage, approx.promised_stabilization, 3)
             if search.find_isomorphism(left, right) is None:
@@ -448,58 +462,54 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 # C9: functor layer
 
 
+def chain_laws(functor: functors.Functor, chains: list[tuple]) -> functors.LawReport:
+    """Identity laws on each chain's bottom object, composition laws along each chain."""
+    return functors.check_functor_laws(functor, [chain[0] for chain in chains], chains)
+
+
+def commuting_square_failures(rng: random.Random, count: int) -> int:
+    """Sample count embedded pairs; count those where canonical_iso's square fails to commute."""
+    ident = functors.identity_functor()
+    round_trip = functors.round_trip_functor()
+    failures = 0
+    for _ in range(count):
+        a, b, gamma = corpus.random_embedded_pair(rng, max_size=3, max_relations=2, max_arity=2)
+        failures += not functors.check_commuting_square(
+            coding.canonical_iso, ident, round_trip, a, gamma, b
+        )
+    return failures
+
+
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run() -> CriterionResult:
         rng = random.Random(seed + 9)
         violations = 0
         morphisms_checked = 0
 
-        # encode functor: 100 sampled morphisms (50 identity + 50 composable pairs)
-        enc = functors.encode_functor()
-        objects = []
-        triples = []
-        for _ in range(50):
-            c = corpus.random_structure(rng, max_size=4, max_relations=2, max_arity=2)
-            b, h2 = corpus.random_induced_substructure(rng, c)
-            a, h1 = corpus.random_induced_substructure(rng, b)
-            objects.append(a)
-            triples.append((a, h1, b, h2, c))
-        rep = functors.check_functor_laws(enc, objects, triples)
-        morphisms_checked += len(objects) + 2 * len(triples)
-        violations += len(rep.violations)
-
-        # reduction functor
-        red = functors.reduction_functor(probe_size=25)
-        gobjects = []
-        gtriples = []
-        for _ in range(50):
-            g3 = corpus.random_graph(rng, max_size=5)
-            g2, h2 = corpus.random_induced_subgraph(rng, g3)
-            g1, h1 = corpus.random_induced_subgraph(rng, g2)
-            gobjects.append(g1)
-            gtriples.append((g1, h1, g2, h2, g3))
-        rep = functors.check_functor_laws(red, gobjects, gtriples)
-        morphisms_checked += len(gobjects) + 2 * len(gtriples)
-        violations += len(rep.violations)
-
-        # composite functor, desk scale
-        comp = functors.composed_functor(restrict_size=5, nu_bound=0)
-        rep = functors.check_functor_laws(comp, gobjects[:50], gtriples[:50])
-        morphisms_checked += 50 + 2 * 50
-        violations += len(rep.violations)
+        # 50 structure chains for the encode functor; 50 graph chains for
+        # the reduction functor and, at desk scale, the composite
+        chains = [
+            corpus.random_induced_chain(
+                rng, corpus.random_structure(rng, max_size=4, max_relations=2, max_arity=2)
+            )
+            for _ in range(50)
+        ]
+        gchains = [
+            corpus.random_induced_chain(rng, corpus.random_graph(rng, max_size=5))
+            for _ in range(50)
+        ]
+        for functor, sample in (
+            (functors.encode_functor(), chains),
+            (functors.reduction_functor(probe_size=25), gchains),
+            (functors.composed_functor(restrict_size=5, nu_bound=0), gchains),
+        ):
+            # each chain is one identity morphism and a composable pair
+            morphisms_checked += 3 * len(sample)
+            violations += len(chain_laws(functor, sample).violations)
 
         # commuting squares for the canonical isomorphism family
-        ident = functors.identity_functor()
-        round_trip = functors.round_trip_functor()
-        squares = 0
-        square_failures = 0
-        for _ in range(50):
-            a, b, gamma = corpus.random_embedded_pair(rng, max_size=3, max_relations=2, max_arity=2)
-            squares += 1
-            if not functors.check_commuting_square(
-                coding.canonical_iso, ident, round_trip, a, gamma, b
-            ):
-                square_failures += 1
+        squares = 50
+        square_failures = commuting_square_failures(rng, squares)
 
         passed = violations == 0 and square_failures == 0
         return CriterionResult(

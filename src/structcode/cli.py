@@ -1,12 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 success / positive answer, 1 negative answer (no embedding,
-Spoiler, incomplete decode), 2 budget exhausted, 3 input error (a bad file
-or a bad argument), 4 internal error (a crash, never reported as an
-answer). Reports are line-oriented key=value text and byte-identical across
-runs for identical invocations and seeds. STRUCTCODE_BUDGET overrides the
-default search budget; a value that is not a non-negative integer is an
-input error (exit 3).
+Spoiler, incomplete decode), 2 budget exhausted, 3 input error (a bad file,
+a path that cannot be read or written, or a bad argument), 4 internal error
+(a crash, never reported as an answer). Reports are line-oriented key=value
+text and byte-identical across runs for identical invocations and seeds.
+STRUCTCODE_BUDGET overrides the default search budget; a value that is not
+a non-negative integer is an input error (exit 3).
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from .core import (
     BudgetExhausted,
     DEFAULT_BUDGET,
     ParseError,
-    Signature,
     load_any,
     oracle_of_structure,
     parse_graph,
+    parse_signature,
     parse_structure,
     restrict,
     serialize_graph,
@@ -96,17 +96,15 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _parse_sig(text: str) -> Signature:
-    rels = []
-    for tok in text.split():
-        name, _, arity = tok.rpartition("/")
-        rels.append((name, int(arity)))
-    return Signature(tuple(rels))
-
-
-def _print_morphism(m) -> None:
+def _print_found(m) -> int:
+    """found=no (exit 1), or found=yes and one `map` line per pair (exit 0)."""
+    if m is None:
+        print("found=no")
+        return 1
+    print("found=yes")
     for s, t in m.pairs:
         print(f"map {s} {t}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +126,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     g = parse_graph(_read(args.graph))
-    sig = _parse_sig(args.sig) if args.sig else None
+    sig = parse_signature(args.sig) if args.sig else None
     s = coding.decode(g, sig)
     sys.stdout.write(serialize_structure(s))
     return 0
@@ -188,25 +186,13 @@ def cmd_embed(args) -> int:
         for i, m in enumerate(result.morphisms):
             print(f"embedding={i} " + " ".join(f"{s}:{t}" for s, t in m.pairs))
         return 0 if result.morphisms else 1
-    m = search.find_embedding(source, target, budget=args.budget)
-    if m is None:
-        print("found=no")
-        return 1
-    print("found=yes")
-    _print_morphism(m)
-    return 0
+    return _print_found(search.find_embedding(source, target, budget=args.budget))
 
 
 def cmd_iso(args) -> int:
     left = load_any(_read(args.left))
     right = load_any(_read(args.right))
-    m = search.find_isomorphism(left, right, budget=args.budget)
-    if m is None:
-        print("found=no")
-        return 1
-    print("found=yes")
-    _print_morphism(m)
-    return 0
+    return _print_found(search.find_isomorphism(left, right, budget=args.budget))
 
 
 def cmd_shelah(args) -> int:
@@ -266,15 +252,13 @@ def cmd_limit_demo(args) -> int:
 
 def cmd_selftest(args) -> int:
     sections = args.sections or ["acceptance"]
+    criteria = {cid for cid, _, _ in acceptance.ACCEPTANCE}
     failed = False
     for section in sections:
         name = section.lower()
-        if name in ("acceptance", "all"):
-            for result in acceptance.run_criteria(seed=args.seed):
-                print(result.line())
-                failed |= not result.passed
-        elif name.upper() in {cid for cid, _, _ in acceptance.ACCEPTANCE}:
-            for result in acceptance.run_criteria([name], seed=args.seed):
+        if name in ("acceptance", "all") or name.upper() in criteria:
+            which = [name] if name.upper() in criteria else None
+            for result in acceptance.run_criteria(which, seed=args.seed):
                 print(result.line())
                 failed |= not result.passed
         elif name in selfcheck.SECTIONS:
@@ -463,7 +447,7 @@ def main(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, FileNotFoundError, ValueError, KeyError,
+    except (ParseError, OSError, ValueError, KeyError,
             coding.MalformedCoding, reduction.ContradictoryEvidence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -464,6 +464,21 @@ def _int_token(tok: str, lineno: int, col: int, what: str) -> int:
     return value
 
 
+def parse_signature(text: str, line: int = 1, column: int = 1) -> Signature:
+    """Whitespace-separated NAME/ARITY tokens; line and column place text[0] in errors."""
+    rels = []
+    for tok in text.split():
+        col = column + text.index(tok)
+        if "/" not in tok:
+            raise ParseError(f"expected NAME/ARITY, got {tok!r}", line, col)
+        name, _, arity_s = tok.rpartition("/")
+        rels.append((name, _int_token(arity_s, line, col, "arity")))
+    try:
+        return Signature(tuple(rels))
+    except ValueError as e:
+        raise ParseError(str(e), line) from None
+
+
 def parse_structure(text: str) -> FinStructure:
     lines = list(_logical_lines(text))
     if not lines:
@@ -472,17 +487,7 @@ def parse_structure(text: str) -> FinStructure:
     toks = header.split()
     if toks[0] != "sig":
         raise ParseError(f"expected 'sig', got {toks[0]!r}", lineno)
-    rels = []
-    for tok in toks[1:]:
-        if "/" not in tok:
-            raise ParseError(f"expected NAME/ARITY, got {tok!r}", lineno, header.index(tok) + 1)
-        name, _, arity_s = tok.rpartition("/")
-        arity = _int_token(arity_s, lineno, header.index(tok) + 1, "arity")
-        rels.append((name, arity))
-    try:
-        sig = Signature(tuple(rels))
-    except ValueError as e:
-        raise ParseError(str(e), lineno) from None
+    sig = parse_signature(header[len("sig"):], lineno, len("sig") + 1)
 
     if len(lines) < 2:
         raise ParseError("expected a 'size' line", lineno + 1)

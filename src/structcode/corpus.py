@@ -117,6 +117,22 @@ def random_induced_subgraph(rng: random.Random, target: DiGraph) -> tuple[DiGrap
     return source, Morphism.from_mapping(k, target.size, {i: chosen[i] for i in range(k)})
 
 
+def random_induced_chain(rng: random.Random, top):
+    """(a, h1, b, h2, top): b induced in top, a induced in b, h1 and h2 the inclusions.
+
+    top is a structure or a graph; each carve draws from rng in that order.
+    """
+    carve = random_induced_subgraph if isinstance(top, DiGraph) else random_induced_substructure
+    b, h2 = carve(rng, top)
+    a, h1 = carve(rng, b)
+    return a, h1, b, h2, top
+
+
+def random_bits(rng: random.Random, max_len: int) -> str:
+    """A bit string whose length is drawn first, uniformly from 0..max_len."""
+    return "".join(str(rng.randint(0, 1)) for _ in range(rng.randint(0, max_len)))
+
+
 def random_pattern(rng: random.Random, stabilize_by: int = 20) -> str:
     """A flip history of the given length followed by its constant limit bit."""
     assert stabilize_by >= 1

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from . import coding, corpus, efgames, functors, limits, reduction, search, shelah
+from . import acceptance, coding, corpus, efgames, functors, limits, reduction, search, shelah
 from .core import (
     DiGraph,
     Morphism,
@@ -83,20 +83,11 @@ def check_core(seed: int, corpus_size: int) -> list[Check]:
 
 def check_shelah(seed: int, corpus_size: int) -> list[Check]:
     rng = random.Random(seed)
-    from .core import xor_bits
-
-    checks = []
-    ok = True
-    for _ in range(corpus_size * 10):
-        nu = "".join(str(rng.randint(0, 1)) for _ in range(rng.randint(0, 6)))
-        mu = "".join(str(rng.randint(0, 1)) for _ in range(rng.randint(0, 6)))
-        x = shelah.SElem.make(
-            "".join(str(rng.randint(0, 1)) for _ in range(rng.randint(0, 6))),
-            rng.randint(0, 1),
-        )
-        ok &= shelah.eval_F(nu, shelah.eval_F(nu, x)) == x
-        ok &= shelah.eval_F(mu, shelah.eval_F(nu, x)) == shelah.eval_F(xor_bits(mu, nu), x)
-    checks.append(_check("shelah.eval_F", ok, f"samples={corpus_size * 10}"))
+    failures = acceptance.eval_F_law_failures(
+        rng, corpus_size * 10,
+        lambda r: shelah.SElem.make(corpus.random_bits(r, 6), r.randint(0, 1)),
+    )
+    checks = [_check("shelah.eval_F", failures == 0, f"samples={corpus_size * 10}")]
     elems = shelah.enumerate_elems(0, 64) + shelah.enumerate_elems(1, 64)
     checks.append(_check(
         "shelah.enumerate_elems",
@@ -112,16 +103,10 @@ def check_shelah(seed: int, corpus_size: int) -> list[Check]:
         ),
         "bounds=0..5",
     ))
-    ok = True
-    for _ in range(corpus_size * 5):
-        m = rng.randint(0, 4)
-        h = shelah.reduct_iso(m)
-        nu = "".join(str(rng.randint(0, 1)) for _ in range(rng.randint(0, m)))
-        x = shelah.nth_elem(rng.randint(0, 1), rng.randrange(20))
-        y = shelah.nth_elem(rng.randint(0, 1), rng.randrange(20))
-        ok &= shelah.holds_R(nu, x) == shelah.holds_R(nu, h(x))
-        ok &= shelah.holds_graphF(nu, x, y) == shelah.holds_graphF(nu, h(x), h(y))
-    checks.append(_check("shelah.reduct_iso", ok, f"queries={corpus_size * 5}"))
+    failures = acceptance.reduct_iso_failures(
+        rng, corpus_size * 5, lambda r: shelah.nth_elem(r.randint(0, 1), r.randrange(20))
+    )
+    checks.append(_check("shelah.reduct_iso", failures == 0, f"queries={corpus_size * 5}"))
     # at bound 8 no tail-1 element among the first 100 can fake the
     # all-zeros generator trace (the first fake sits at index 2^7)
     traces = [shelah.distinguishing_trace(e, 8) for e in shelah.enumerate_elems(1, 100)]
@@ -175,14 +160,7 @@ def check_search(seed: int, corpus_size: int) -> list[Check]:
 def check_efgames(seed: int, corpus_size: int) -> list[Check]:
     rng = random.Random(seed)
     checks = []
-    k2 = corpus.complete_graph_structure(2)
-    k3 = corpus.complete_graph_structure(3)
-    checks.append(_check(
-        "efgames.ef_winner",
-        efgames.ef_winner(k2, k3, 2) == efgames.DUPLICATOR
-        and efgames.ef_winner(k2, k3, 3) == efgames.SPOILER,
-        "pinned=k2k3",
-    ))
+    checks.append(_check("efgames.ef_winner", acceptance.pinned_k2_k3(), "pinned=k2k3"))
     ok = True
     for _ in range(corpus_size):
         sig = Signature.of(("E", 2))
@@ -191,6 +169,7 @@ def check_efgames(seed: int, corpus_size: int) -> list[Check]:
         for n in range(3):
             ok &= (efgames.ef_winner(a, b, n) == efgames.DUPLICATOR) == efgames.equiv_n(a, b, n)
     checks.append(_check("efgames.equiv_n", ok, f"pairs={corpus_size}"))
+    k2 = corpus.complete_graph_structure(2)
     state = efgames.GameState(k2, k2, ((0, 0), (1, 1)), 0)
     bad = efgames.GameState(k2, corpus.pure_set_structure(2), ((0, 0), (1, 1)), 0)
     checks.append(_check(
@@ -294,12 +273,9 @@ def check_limits(seed: int, corpus_size: int) -> list[Check]:
     ok = True
     for _ in range(corpus_size):
         approx = limits.Approximation.from_pattern(corpus.random_pattern(rng, 10))
-        prev = limits.build_stage(approx, 0, 0)
-        for s in range(1, 16):
-            cur = limits.build_stage(approx, 0, s)
-            ok &= limits.is_substage(prev, cur)
-            prev = cur
-        for (mu, term), value in prev.facts:
+        breaks, last = acceptance.stage_chain(approx, 15)
+        ok &= breaks == 0
+        for (mu, term), value in last.facts:
             ok &= limits.query_fact(approx, 0, mu, term) == value
     checks.append(_check("limits.query_fact", ok, f"approximations={corpus_size}"))
     ok = True
@@ -315,44 +291,33 @@ def check_limits(seed: int, corpus_size: int) -> list[Check]:
 def check_functors(seed: int, corpus_size: int) -> list[Check]:
     rng = random.Random(seed)
     checks = []
-    enc = functors.encode_functor()
-    objects, triples = [], []
-    for _ in range(corpus_size):
-        c = corpus.random_structure(rng, max_size=3, max_relations=2, max_arity=2)
-        b, h2 = corpus.random_induced_substructure(rng, c)
-        a, h1 = corpus.random_induced_substructure(rng, b)
-        objects.append(a)
-        triples.append((a, h1, b, h2, c))
-    rep = functors.check_functor_laws(enc, objects, triples)
+    chains = [
+        corpus.random_induced_chain(
+            rng, corpus.random_structure(rng, max_size=3, max_relations=2, max_arity=2)
+        )
+        for _ in range(corpus_size)
+    ]
+    rep = acceptance.chain_laws(functors.encode_functor(), chains)
     checks.append(_check(
         "functors.check_functor_laws",
         rep.ok(),
         f"functor=encode identity={rep.identity_checked} composition={rep.composition_checked}",
     ))
-    comp = functors.composed_functor(restrict_size=5, nu_bound=0)
-    gtriples = []
-    gobjects = []
-    for _ in range(max(2, corpus_size // 4)):
-        g3 = corpus.random_graph(rng, max_size=4)
-        g2, h2 = corpus.random_induced_subgraph(rng, g3)
-        g1, h1 = corpus.random_induced_subgraph(rng, g2)
-        gobjects.append(g1)
-        gtriples.append((g1, h1, g2, h2, g3))
-    rep = functors.check_functor_laws(comp, gobjects, gtriples)
+    gchains = [
+        corpus.random_induced_chain(rng, corpus.random_graph(rng, max_size=4))
+        for _ in range(max(2, corpus_size // 4))
+    ]
+    rep = acceptance.chain_laws(functors.composed_functor(restrict_size=5, nu_bound=0), gchains)
     checks.append(_check(
         "functors.composed_functor",
         rep.ok(),
         f"identity={rep.identity_checked} composition={rep.composition_checked}",
     ))
-    ident = functors.identity_functor()
-    round_trip = functors.round_trip_functor()
-    squares_ok = True
-    for _ in range(corpus_size):
-        a, b, gamma = corpus.random_embedded_pair(rng, max_size=3, max_relations=2, max_arity=2)
-        squares_ok &= functors.check_commuting_square(
-            coding.canonical_iso, ident, round_trip, a, gamma, b
-        )
-    checks.append(_check("functors.check_commuting_square", squares_ok, f"squares={corpus_size}"))
+    checks.append(_check(
+        "functors.check_commuting_square",
+        acceptance.commuting_square_failures(rng, corpus_size) == 0,
+        f"squares={corpus_size}",
+    ))
     graphs = [corpus.random_graph(rng, max_size=4) for _ in range(corpus_size)]
     rep = functors.pseudo_inverse_report(graphs)
     checks.append(_check(

@@ -222,6 +222,34 @@ def test_missing_file_is_input_error():
 
 
 @pytest.mark.parametrize("argv", [
+    ["iso", "--left", "dir", "--right", "dir"],
+    ["decode", "--graph", "dir"],
+    ["corpus", "--out", "k2.g"],
+], ids=["iso-dir", "decode-dir", "corpus-out-file"])
+def test_bad_path_is_input_error(files, argv, capsys):
+    # a directory where a file is read, or a file where a directory is made
+    argv = [str(files.get(a, a)) for a in argv]
+    code, out = run_cli(argv)
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
+
+
+@pytest.mark.parametrize("sig,fault", [
+    ("R/x", "expected arity, got 'x'"),
+    ("R/0", "arity 0 < 1"),
+    ("R/-1", "arity must be non-negative, got '-1'"),
+    ("/2", "bad relation name ''"),
+    ("R", "expected NAME/ARITY, got 'R'"),
+    ("R/1 R/1", "duplicate relation names"),
+])
+def test_decode_bad_sig_is_input_error(files, sig, fault, capsys):
+    code, out = run_cli(["decode", "--graph", files["k2.g"], "--sig", sig])
+    assert code == 3 and out == ""
+    assert fault in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["shelah", "eval", "--nu", "2", "--elem", ":1"],
     ["shelah", "holds-r", "--nu", "2x", "--elem", ":1"],
     ["ef", "--left", "k2.g", "--right", "k3.g", "--rounds", "-1"],
