@@ -245,30 +245,28 @@ def pinned_k2_k3() -> bool:
 
 def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run() -> CriterionResult:
-        disagreements = 0
-        checked = 0
+        def rank_types(s: FinStructure) -> list[tuple]:
+            return [efgames._rank_type(s, n) for n in range(4)]
+
         # exhaustive over all one-binary-relation structures with <= 3
         # elements, up to isomorphism (the game value is an isomorphism
-        # invariant, and the solvers are permutation-blind)
+        # invariant, and the solvers are permutation-blind), then a seeded
+        # sample at 4 elements; each structure's rank types are built once
         reps = _canonical_binary_structures(3)
-        for i in range(len(reps)):
-            for j in range(i, len(reps)):
-                for n in range(4):
-                    game = efgames.ef_winner(reps[i], reps[j], n) == efgames.DUPLICATOR
-                    hier = efgames.equiv_n(reps[i], reps[j], n)
-                    checked += 1
-                    if game != hier:
-                        disagreements += 1
-        # seeded sample at 4 elements
+        rep_types = [rank_types(s) for s in reps]
+        pairs = [(reps[i], reps[j], rep_types[i], rep_types[j])
+                 for i in range(len(reps)) for j in range(i, len(reps))]
         rng = random.Random(seed + 5)
         for _ in range(500):
             a = _random_binary_structure(rng, 4)
             b = _random_binary_structure(rng, 4)
+            pairs.append((a, b, rank_types(a), rank_types(b)))
+        # the game search in both reply orders against rank-type equality
+        checked, disagreements = 4 * len(pairs), 0
+        for a, b, ta, tb in pairs:
             for n in range(4):
                 game = efgames.ef_winner(a, b, n) == efgames.DUPLICATOR
-                hier = efgames.equiv_n(a, b, n)
-                checked += 1
-                if game != hier:
+                if not game == efgames.equiv_n(a, b, n) == (ta[n] == tb[n]):
                     disagreements += 1
         pinned_ok = pinned_k2_k3()
         return CriterionResult(

@@ -114,13 +114,13 @@ def _print_found(m) -> int:
 def cmd_encode(args) -> int:
     s = parse_structure(_read(args.structure))
     coded = coding.encode(s)
-    sys.stdout.write(serialize_graph(coded.graph))
-    if args.provenance:
-        text = coding.render_provenance(coded)
-        if args.provenance == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.provenance).write_text(text, encoding="utf-8")
+    text = serialize_graph(coded.graph)
+    if args.provenance == "-":
+        text += coding.render_provenance(coded)
+    elif args.provenance:
+        # written before any output, so a path that cannot be written leaves stdout empty
+        Path(args.provenance).write_text(coding.render_provenance(coded), encoding="utf-8")
+    sys.stdout.write(text)
     return 0
 
 

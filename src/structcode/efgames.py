@@ -1,19 +1,16 @@
 """Exact n-round Ehrenfeucht-Fraisse game solving on finite structures.
 
-Two deliberately different algorithms answer the same question:
+One memoized game search, GameSolver.duplicator_wins, answers both public
+questions. Positions are sets of pebbled pairs; Spoiler's moves are walked
+in play order (left elements first, then right) in one pass per position.
+ef_winner and ef_trace answer each move in index order; equiv_n answers it
+same-colour first under the joint colour refinement. A reply is tested
+with _extends, which checks only what the new pair can break.
 
-* ef_winner explores the alternating game tree move by move, memoized on
-  the position: the sorted set of pebbled pairs and the rounds left;
-* equiv_n evaluates the back-and-forth hierarchy on unordered partial maps.
-
-Each evaluator, the strategy verifier included, walks Spoiler's moves in
-play order (left elements first, then right) in one pass per position,
-each move answered by the pairs it yields in Duplicator's order. Both
-solvers test a reply with _extends, which checks only what the new pair
-can break. _pebbles_partial_iso stays the naive full check behind the win
-condition and the strategy verifier, and shares no code with it.
-
-Their agreement on small structures is one of the package's standing checks.
+Two checks share no code with that search: _pebbles_partial_iso, the naive
+full check behind the win condition and the strategy verifier, and
+_rank_type, the naive rank-n type that C5 compares the game value against
+(Duplicator wins n rounds iff the rank-n types agree).
 """
 
 from __future__ import annotations
@@ -85,6 +82,17 @@ def _extends(left: FinStructure, right: FinStructure, fwd: dict[int, int],
 # Game-tree search
 
 
+class _SameColorFirst(dict):
+    """Replies per colour c: colour c first, index order within; built on first use."""
+
+    def __init__(self, colors: list[int]):
+        self.colors = colors
+
+    def __missing__(self, c: int) -> list[int]:
+        self[c] = order = sorted(range(len(self.colors)), key=lambda x: self.colors[x] != c)
+        return order
+
+
 class GameSolver:
     """Memoized alternating search for one pair.
 
@@ -92,12 +100,16 @@ class GameSolver:
     value depends only on that set; the memo is keyed on (position, rounds
     left), and states counts the distinct keys solved. moves numbers
     Spoiler's moves in play order: left element i for i < left.size, then
-    right element i - left.size. Their replies are generated on demand, so
-    no structure of size left.size * right.size is ever built.
+    right element i - left.size. Each move's replies put the mover's colour
+    first, index order within; colors=(left colours, right colours), and
+    None gives every element colour 0, which is plain index order. Replies
+    are generated on demand, so no structure of size left.size * right.size
+    is ever built.
     """
 
     def __init__(self, left: FinStructure, right: FinStructure,
-                 budget: int = DEFAULT_BUDGET):
+                 budget: int = DEFAULT_BUDGET,
+                 colors: Optional[tuple[list[int], list[int]]] = None):
         if left.sig != right.sig:
             raise ValueError("structures must share a signature")
         self.left = left
@@ -106,6 +118,8 @@ class GameSolver:
         self.states = 0
         self.memo: dict[tuple[tuple[tuple[int, int], ...], int], bool] = {}
         self.moves = range(left.size + right.size)
+        self.lcol, self.rcol = colors or ([0] * left.size, [0] * right.size)
+        self.right_for, self.left_for = _SameColorFirst(self.rcol), _SameColorFirst(self.lcol)
 
     def answer(self, pebbles: tuple[tuple[int, int], ...], fwd: dict[int, int],
                i: int, rounds: Optional[int]):
@@ -116,8 +130,8 @@ class GameSolver:
         a pebbled pair keeps the position.
         """
         lsize = self.left.size  # moves from lsize on pebble a right element
-        replies = (zip(repeat(i), range(self.right.size)) if i < lsize
-                   else zip(range(lsize), repeat(i - lsize)))
+        replies = (zip(repeat(i), self.right_for[self.lcol[i]]) if i < lsize
+                   else zip(self.left_for[self.rcol[i - lsize]], repeat(i - lsize)))
         for e, f in replies:
             if _extends(self.left, self.right, fwd, e, f):
                 new = pebbles if e in fwd else tuple(sorted(pebbles + ((e, f),)))
@@ -191,64 +205,43 @@ def ef_trace(left: Structish, right: Structish, n: int,
 # Back-and-forth hierarchy
 
 
-class _SameColorFirst(dict):
-    """Replies per colour c: colour c first, index order within; built on first use."""
-
-    def __init__(self, colors: list[int]):
-        self.colors = colors
-
-    def __missing__(self, c: int) -> list[int]:
-        self[c] = order = sorted(range(len(self.colors)), key=lambda x: self.colors[x] != c)
-        return order
-
-
 def equiv_n(left: Structish, right: Structish, n: int,
             budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the structures are n-back-and-forth equivalent.
 
-    Computes membership of partial maps in the hierarchy level by level:
-    a map is n-good iff every element on either side extends it to an
-    (n-1)-good map. Maps are unordered sets of pairs, memoized per level.
-    Joint colours of both structures (search's refinement of their disjoint
-    union) put same-colour response candidates first; the order is a
-    heuristic only, and the scan is exhaustive.
+    Runs GameSolver with replies same-colour first under the joint colours
+    of both structures (search's refinement of their disjoint union). The
+    order is a heuristic only, and the scan is exhaustive; budget bounds the
+    maps (positions) solved.
     """
     ls, rs = _as_structure(left), _as_structure(right)
-    if ls.sig != rs.sig:
-        raise ValueError("structures must share a signature")
     assert n >= 0
     lcol, rcol, _ = _joint_colors(_incidence(ls), _incidence(rs))
-    right_for, left_for = _SameColorFirst(rcol), _SameColorFirst(lcol)
-    lsize = ls.size
-    memo: dict[tuple[frozenset[tuple[int, int]], int], bool] = {}
-    visited = 0
+    solver = GameSolver(ls, rs, budget, colors=(lcol, rcol))
+    try:
+        return solver.duplicator_wins((), n)
+    except BudgetExhausted as err:
+        raise BudgetExhausted(f"hierarchy exceeded {budget} maps",
+                              used=err.used, budget=budget) from None
 
-    def good(pairs: frozenset[tuple[int, int]], k: int) -> bool:
-        nonlocal visited
-        key = (pairs, k)
-        if key in memo:
-            return memo[key]
-        visited += 1
-        if visited > budget:
-            raise BudgetExhausted(f"hierarchy exceeded {budget} maps", used=visited, budget=budget)
-        if k == 0:
-            memo[key] = True
-            return True
-        fwd = dict(pairs)
-        result = True
-        # Spoiler's move i pebbles left element i, then right element i - lsize;
-        # its replies are zipped on demand, never stored
-        for i in range(lsize + rs.size):
-            replies = (zip(repeat(i), right_for[lcol[i]]) if i < lsize
-                       else zip(left_for[rcol[i - lsize]], repeat(i - lsize)))
-            if not any(_extends(ls, rs, fwd, a, b) and good(pairs | {(a, b)}, k - 1)
-                       for a, b in replies):
-                result = False
-                break
-        memo[key] = result
-        return result
 
-    return good(frozenset(), n)
+# ---------------------------------------------------------------------------
+# Rank-n types: the reference that shares no code with the game search
+
+
+def _rank_type(s: FinStructure, n: int, tup: tuple[int, ...] = ()) -> tuple:
+    """The rank-n type of tup in s, built naively: the equality pattern and
+    atoms of tup, and for n > 0 the set of rank-(n-1) types of tup + (x,)
+    over every element x. By the Ehrenfeucht-Fraisse theorem (Fraisse 1954;
+    Ehrenfeucht 1961), Duplicator wins the n-round game on a and b from the
+    empty position iff _rank_type(a, n) == _rank_type(b, n).
+    """
+    atomic = (tuple(map(tup.index, tup)),
+              tuple(s.holds(name, [tup[p] for p in pos])
+                    for name, pos in atoms(s.sig, range(len(tup)))))
+    if n == 0:
+        return atomic
+    return atomic, frozenset(_rank_type(s, n - 1, tup + (x,)) for x in range(s.size))
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,8 @@ def test_missing_file_is_input_error():
     ["iso", "--left", "dir", "--right", "dir"],
     ["decode", "--graph", "dir"],
     ["corpus", "--out", "k2.g"],
-], ids=["iso-dir", "decode-dir", "corpus-out-file"])
+    ["encode", "--structure", "fig.st", "--provenance", "dir"],
+], ids=["iso-dir", "decode-dir", "corpus-out-file", "encode-provenance-dir"])
 def test_bad_path_is_input_error(files, argv, capsys):
     # a directory where a file is read, or a file where a directory is made
     argv = [str(files.get(a, a)) for a in argv]

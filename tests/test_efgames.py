@@ -13,6 +13,7 @@ from structcode.efgames import (
     GameState,
     _extends,
     _pebbles_partial_iso,
+    _rank_type,
     ef_trace,
     ef_winner,
     equiv_n,
@@ -177,7 +178,13 @@ def test_identical_structures_duplicator_wins():
 
 
 # ---------------------------------------------------------------------------
-# solver agreement
+# agreement of ef_winner, equiv_n and rank-n types
+
+
+def assert_agree(a, b, n):
+    # Duplicator wins n rounds iff the rank-n types agree (Ehrenfeucht-Fraisse)
+    game = ef_winner(a, b, n) == DUPLICATOR
+    assert game == equiv_n(a, b, n) == (_rank_type(a, n) == _rank_type(b, n)), (a, b, n)
 
 
 def test_agreement_exhaustive_two_elements():
@@ -189,7 +196,7 @@ def test_agreement_exhaustive_two_elements():
     for a in structures:
         for b in structures:
             for n in range(4):
-                assert (ef_winner(a, b, n) == DUPLICATOR) == equiv_n(a, b, n)
+                assert_agree(a, b, n)
 
 
 def test_agreement_sampled_four_elements():
@@ -197,7 +204,39 @@ def test_agreement_sampled_four_elements():
     for _ in range(60):
         a, b = rand_binary(rng, 4), rand_binary(rng, 4)
         for n in range(4):
-            assert (ef_winner(a, b, n) == DUPLICATOR) == equiv_n(a, b, n)
+            assert_agree(a, b, n)
+
+
+def test_agreement_mixed_arities():
+    # unary, binary and ternary relations, sizes 0-3: 900 checks
+    rng = random.Random(29)
+    for _ in range(300):
+        a, b = rand_mixed(rng, rng.randint(0, 3)), rand_mixed(rng, rng.randint(0, 3))
+        for n in range(3):
+            assert_agree(a, b, n)
+
+
+def test_rank_types_do_not_share_the_extension_check(monkeypatch):
+    # With an _extends that checks only that facts are preserved, both game
+    # solvers let Duplicator pebble a loop-free element onto a loop; the
+    # rank types, which never call _extends, still tell the two apart.
+    from structcode import efgames
+
+    def preserve_only(left, right, fwd, a, b):
+        if a in fwd:
+            return fwd[a] == b
+        if b in fwd.values():
+            return False
+        fwd = {**fwd, a: b}
+        return all((name, tuple(fwd[x] for x in tup)) in right.facts
+                   for name, tup in left.facts if all(x in fwd for x in tup))
+
+    monkeypatch.setattr(efgames, "_extends", preserve_only)
+    point = corpus.pure_set_structure(1)
+    loop = FinStructure(SIG, 1, frozenset({("E", (0, 0))}))
+    assert ef_winner(point, loop, 1) == DUPLICATOR
+    assert equiv_n(point, loop, 1)
+    assert _rank_type(point, 1) != _rank_type(loop, 1)
 
 
 def test_monotone_in_rounds():
