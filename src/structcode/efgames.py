@@ -104,7 +104,10 @@ class GameSolver:
     first, index order within; colors=(left colours, right colours), and
     None gives every element colour 0, which is plain index order. Replies
     are generated on demand, so no structure of size left.size * right.size
-    is ever built.
+    is ever built. Callers cap the rounds at len(moves), left.size +
+    right.size, beyond which no position's value changes: Duplicator wins at
+    every round count iff the position extends to an isomorphism, and
+    otherwise Spoiler wins by pebbling the rest of the larger side.
     """
 
     def __init__(self, left: FinStructure, right: FinStructure,
@@ -166,7 +169,7 @@ def ef_winner(left: Structish, right: Structish, n: int,
     """Exact winner of the n-round game from the empty position."""
     assert n >= 0
     solver = GameSolver(_as_structure(left), _as_structure(right), budget)
-    return DUPLICATOR if solver.duplicator_wins((), n) else SPOILER
+    return DUPLICATOR if solver.duplicator_wins((), min(n, len(solver.moves))) else SPOILER
 
 
 def ef_trace(left: Structish, right: Structish, n: int,
@@ -179,18 +182,20 @@ def ef_trace(left: Structish, right: Structish, n: int,
     assert n >= 0
     ls, rs = _as_structure(left), _as_structure(right)
     solver = GameSolver(ls, rs, budget)
-    winner = DUPLICATOR if solver.duplicator_wins((), n) else SPOILER
+    cap = len(solver.moves)
+    winner = DUPLICATOR if solver.duplicator_wins((), min(n, cap)) else SPOILER
     trace: list[tuple[str, int, Optional[int]]] = []
     pebbles: tuple[tuple[int, int], ...] = ()
     for k in range(n, 0, -1):
         fwd = dict(pebbles)
-        if solver.duplicator_wins(pebbles, k):
+        if solver.duplicator_wins(pebbles, min(k, cap)):
             if not solver.moves:
                 break
-            i, reply = 0, solver.answer(pebbles, fwd, 0, k - 1)
+            i, reply = 0, solver.answer(pebbles, fwd, 0, min(k - 1, cap))
             assert reply is not None
         else:
-            i = next(i for i in solver.moves if solver.answer(pebbles, fwd, i, k - 1) is None)
+            i = next(i for i in solver.moves
+                     if solver.answer(pebbles, fwd, i, min(k - 1, cap)) is None)
             reply = solver.answer(pebbles, fwd, i, None)
         side, e = ("left", i) if i < ls.size else ("right", i - ls.size)
         if reply is None:
@@ -219,7 +224,7 @@ def equiv_n(left: Structish, right: Structish, n: int,
     lcol, rcol, _ = _joint_colors(_incidence(ls), _incidence(rs))
     solver = GameSolver(ls, rs, budget, colors=(lcol, rcol))
     try:
-        return solver.duplicator_wins((), n)
+        return solver.duplicator_wins((), min(n, len(solver.moves)))
     except BudgetExhausted as err:
         raise BudgetExhausted(f"hierarchy exceeded {budget} maps",
                               used=err.used, budget=budget) from None

@@ -98,25 +98,18 @@ def round_trip_functor() -> Functor:
 class RoleMap:
     """Morphism of coded reduction restrictions, represented on roles.
 
-    Vertices whose transported role lands inside the target restriction map
-    to the target vertex; the rest stay symbolic as ('virtual', role), which
+    Vertices whose transported role is a role of the target coding map to
+    that target vertex; the rest stay symbolic as ('virtual', role), which
     keeps the map total and composition associative on every probe element.
+    Both restrictions share one signature, so the target's roles are exactly
+    the transported roles whose codes all lie inside the target restriction.
     """
 
     def __init__(self, point_map: Callable[[int], int], source: CodedGraph,
-                 target: CodedGraph, restrict_size: int):
+                 target: CodedGraph):
         self.point_map = point_map
-        self.restrict_size = restrict_size
         self._source_roles = source.roles()
         self._target_vertex = target.vertex_of()
-
-    @staticmethod
-    def _codes(role: tuple) -> tuple[int, ...]:
-        if role[0] == "elem":
-            return (role[1],)
-        if role[0] in ("chain", "junction"):
-            return tuple(role[2])
-        return ()
 
     def __call__(self, e):
         if isinstance(e, tuple) and e and e[0] == "virtual":
@@ -124,9 +117,7 @@ class RoleMap:
         else:
             role = self._source_roles[e]
         moved = map_role(role, self.point_map)
-        if all(c < self.restrict_size for c in self._codes(moved)):
-            return self._target_vertex[moved]
-        return ("virtual", moved)
+        return self._target_vertex.get(moved, ("virtual", moved))
 
 
 def composed_functor(restrict_size: int = 5, nu_bound: int = 0) -> Functor:
@@ -147,7 +138,6 @@ def composed_functor(restrict_size: int = 5, nu_bound: int = 0) -> Functor:
             point_map=induced_embedding(src, dst, h),
             source=obj(src),
             target=obj(dst),
-            restrict_size=restrict_size,
         )
 
     return Functor(

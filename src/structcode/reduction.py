@@ -280,8 +280,16 @@ def _judge_trace(trace: set, nu_bound: int, j) -> Optional[str]:
 
 
 def _trace(oracle: AtomOracle, handle, nu_bound: int) -> set[str]:
-    return {nu for nu in all_strings(nu_bound)
-            if oracle.holds(shelah.rel_name("R", nu), (handle,))}
+    """handle's trace as far as _judge_trace needs it: the two full-length
+    generator strings, and the other strings only if exactly one holds."""
+    def holds(nu: str) -> bool:
+        return oracle.holds(shelah.rel_name("R", nu), (handle,))
+
+    ends = ("0" * nu_bound, "1" * nu_bound)
+    held = {nu for nu in dict.fromkeys(ends) if holds(nu)}
+    if len(held) != 1:
+        return held
+    return held | {nu for nu in all_strings(nu_bound) if nu not in ends and holds(nu)}
 
 
 def default_scan_cap(k: int) -> int:

@@ -2,7 +2,8 @@
 
 Embedding means the strong relational sense: an injective map that preserves
 and reflects every relation, i.e. an isomorphism onto an induced
-substructure. Searches are deterministic given their inputs and raise
+substructure. One generator, _Searcher.embeddings, yields the embeddings in
+a fixed order and each public search takes what it needs; a search raises
 BudgetExhausted instead of guessing when the node cap is hit.
 
 Isomorphism search first refines the disjoint union of its two inputs to a
@@ -23,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from heapq import merge
-from math import factorial
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .core import (
@@ -136,6 +137,8 @@ def _joint_colors(inc_a: list[Incidence], inc_b: list[Incidence],
 
 
 class _Searcher:
+    """One source/target search: embeddings() walks it, counting nodes against budget."""
+
     def __init__(self, source: FinStructure, target: FinStructure, budget: int,
                  order_by_constraint: bool, iso: bool):
         self.source = source
@@ -199,16 +202,12 @@ class _Searcher:
             del fwd[x]
             del bwd[t]
 
-    def run(self, cap: Optional[int]) -> tuple[list[Morphism], bool]:
-        """Collect embeddings; cap=None means stop at the first one.
-
-        Depth-first over self.order with an explicit stack of per-depth
-        candidate iterators, so the Python stack does not grow with the
-        source size.
-        """
+    def embeddings(self) -> Iterator[Morphism]:
+        """Yield each embedding at its leaf, depth-first over self.order with
+        an explicit stack of per-depth candidate iterators, so the Python
+        stack does not grow with the source size."""
         if not self.feasible:
-            return [], True
-        found: list[Morphism] = []
+            return
         fwd: dict[int, int] = {}
         bwd: dict[int, int] = {}
         stack: list[Iterator[int]] = []
@@ -220,11 +219,7 @@ class _Searcher:
                     used=self.nodes, budget=self.budget,
                 )
             if len(stack) == len(self.order):
-                if cap is not None and len(found) == cap:
-                    return found, False
-                found.append(Morphism.from_mapping(self.source.size, self.target.size, fwd))
-                if cap is None:
-                    return found, True
+                yield Morphism.from_mapping(self.source.size, self.target.size, fwd)
             else:
                 stack.append(iter(self.candidates(self.order[len(stack)])))
             # Move the deepest level to its next consistent candidate,
@@ -241,7 +236,7 @@ class _Searcher:
                     break
                 stack.pop()
             else:
-                return found, True
+                return
 
 
 def _same_signature(a: Structish, b: Structish) -> tuple[FinStructure, FinStructure]:
@@ -258,8 +253,7 @@ def find_embedding(source: Structish, target: Structish,
     if src.size > dst.size:
         return None
     searcher = _Searcher(src, dst, budget, order_by_constraint=True, iso=False)
-    found, _ = searcher.run(cap=None)
-    return found[0] if found else None
+    return next(searcher.embeddings(), None)
 
 
 def find_isomorphism(a: Structish, b: Structish,
@@ -274,8 +268,7 @@ def find_isomorphism(a: Structish, b: Structish,
     if sa.size != sb.size or len(sa.facts) != len(sb.facts):
         return None
     searcher = _Searcher(sa, sb, budget, order_by_constraint=True, iso=True)
-    found, _ = searcher.run(cap=None)
-    return found[0] if found else None
+    return next(searcher.embeddings(), None)
 
 
 class Embeddings(NamedTuple):
@@ -292,16 +285,16 @@ def enumerate_embeddings(a: Structish, b: Structish, cap: int,
     src, dst = _same_signature(a, b)
     if src.size > dst.size:
         return Embeddings([], True)
-    searcher = _Searcher(src, dst, budget, order_by_constraint=False, iso=False)
-    found, complete = searcher.run(cap=cap)
-    return Embeddings(found, complete)
+    found = _Searcher(src, dst, budget, order_by_constraint=False, iso=False).embeddings()
+    morphisms = list(islice(found, cap))
+    return Embeddings(morphisms, next(found, None) is None)
 
 
 def automorphisms(s: Structish, budget: int = DEFAULT_BUDGET) -> list[Morphism]:
     """Every automorphism (embeddings of a structure into itself are bijective)."""
     struct = _as_structure(s)
-    return enumerate_embeddings(struct, struct, cap=factorial(struct.size) + 1,
-                                budget=budget).morphisms
+    return list(_Searcher(struct, struct, budget, order_by_constraint=False,
+                          iso=False).embeddings())
 
 
 def is_embedding(source: Structish, target: Structish, m: Morphism) -> bool:

@@ -28,12 +28,13 @@ def run_cli(argv):
 K2 = "graph 2\ne 0 1\ne 1 0\n"
 K3 = "graph 3\ne 0 1\ne 0 2\ne 1 0\ne 1 2\ne 2 0\ne 2 1\n"
 FIG = "sig R/3\nsize 3\nfact R 0 1 2\n"
+EDGE = "graph 2\ne 0 1\n"
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, text in (("k2.g", K2), ("k3.g", K3), ("fig.st", FIG)):
+    for name, text in (("k2.g", K2), ("k3.g", K3), ("fig.st", FIG), ("edge.g", EDGE)):
         p = tmp_path / name
         p.write_text(text)
         paths[name] = str(p)
@@ -152,6 +153,43 @@ def test_decode_f_incomplete_is_exit_1(files, tmp_path):
     ])
     assert code == 1
     assert out.splitlines()[1:] == [f"# unknown {m} {n}" for m in range(2) for n in range(2)]
+
+
+def test_decode_f_long_nu_bound_stays_fast(files, tmp_path, monkeypatch):
+    # no point of this restriction has an R_ fact of index length above 1,
+    # so two queries judge each point whatever the bound; asking every
+    # string up to the bound took 2^19 queries a point and seconds in all
+    code, restriction = run_cli(["reduce-f", "--graph", files["edge.g"], "--restrict", "12"])
+    rest = tmp_path / "r12.st"
+    rest.write_text(restriction)
+    asked = []
+    present = cli.oracle_of_structure
+
+    def counted(s):
+        oracle = present(s)
+        return dataclasses.replace(
+            oracle, holds=lambda name, tup: asked.append(name) or oracle.holds(name, tup))
+
+    monkeypatch.setattr(cli, "oracle_of_structure", counted)
+    code, out = run_cli([
+        "decode-f", "--structure", str(rest), "--vertices", "2", "--nu-bound", "18",
+    ])
+    assert code == 1
+    assert out.splitlines()[1:] == [f"# unknown {m} {n}" for m in range(2) for n in range(2)]
+    assert len(asked) < 100
+
+
+def test_ef_many_rounds_answer(tmp_path):
+    # uncapped rounds ended in a RecursionError (exit 4) from about 500 on
+    one = tmp_path / "one.st"
+    one.write_text("sig E/2\nsize 1\n")
+    code, out = run_cli([
+        "ef", "--left", str(one), "--right", str(one), "--rounds", "5000", "--trace", "--check",
+    ])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "winner=Duplicator" and lines[-1] == "hierarchy_agrees=yes"
+    assert len(lines) == 5002
 
 
 def test_shelah_actions():

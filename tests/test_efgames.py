@@ -330,6 +330,27 @@ def test_trace_duplicator_line_is_legal():
     assert all(resp is not None for _, _, resp in trace)
 
 
+def _graph(size, *edges):
+    return FinStructure(SIG, size, frozenset(("E", e) for e in edges))
+
+
+@pytest.mark.parametrize("left, right, winner", [
+    (_graph(1), _graph(1), DUPLICATOR),
+    (_graph(2, (0, 1)), _graph(2, (1, 0)), DUPLICATOR),
+    (_graph(2, (0, 1)), _graph(2), SPOILER),
+    (_graph(1), _graph(2, (0, 1)), SPOILER),
+])
+@pytest.mark.parametrize("n", [500, 5000])
+def test_many_rounds_answer(left, right, winner, n):
+    # Rounds beyond left.size + right.size change no value, so these
+    # answer as fast as 3 rounds do; uncapped, 500 rounds ran out of stack
+    assert ef_winner(left, right, n) == winner
+    assert equiv_n(left, right, n) == (winner == DUPLICATOR)
+    short = ef_trace(left, right, 3)[1]
+    # the extra rounds re-pebble the first pair
+    assert ef_trace(left, right, n) == (winner, short[:1] * (n - 3) + short)
+
+
 def _seeded_pair(seed):
     rng = random.Random(seed)
     return rand_binary(rng, 4), rand_binary(rng, 4)

@@ -12,6 +12,7 @@ from structcode.core import (
     FinStructure,
     Morphism,
     Signature,
+    all_strings,
     oracle_of_structure,
     restrict,
 )
@@ -252,6 +253,60 @@ def test_decode_against_finite_restriction_oracle():
     cap = block_code(2, 2, 0) + 1
     s = restrict(build_f_graph(g), cap, reduction_rel_bound(2))
     assert decode_f(oracle_of_structure(s), 3, nu_bound=2, budget=50) == g
+
+
+def _counting(oracle):
+    """oracle with its holds wrapped; the list's one entry counts the queries."""
+    asked = [0]
+
+    def holds(name, tup):
+        asked[0] += 1
+        return oracle.holds(name, tup)
+
+    return dataclasses.replace(oracle, holds=holds), asked
+
+
+def test_decider_decode_queries_do_not_grow_with_nu_bound():
+    # The 12-point restriction at index length 1 holds no R_ fact of a
+    # longer index, so above bound 1 no point has a full-length generator
+    # string, and those two queries judge it. Asking every string up to the
+    # bound took 137 queries at bound 3 and 917,529 at bound 16.
+    s = restrict(build_f_graph(EDGE), 12, reduction_rel_bound(1))
+    queries, pairs = {}, {}
+    for nu_bound in (3, 16):
+        oracle, asked = _counting(oracle_of_structure(s))
+        with pytest.raises(DecodeIncomplete) as err:
+            decode_f(oracle, 2, nu_bound=nu_bound)
+        queries[nu_bound], pairs[nu_bound] = asked[0], err.value.pairs
+    assert queries[16] == queries[3] < 100
+    assert pairs[16] == pairs[3] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _judged(trace, nu_bound):
+    try:
+        return reduction._judge_trace(trace, nu_bound, 0)
+    except ContradictoryEvidence:
+        return ContradictoryEvidence
+
+
+@pytest.mark.parametrize("nu_bound", range(4))
+def test_partial_trace_judges_as_the_whole_trace(nu_bound):
+    # every possible trace at the bound, presented by an oracle that holds
+    # R_nu exactly for the strings nu in it
+    strings = list(all_strings(nu_bound))
+    for bits in product((False, True), repeat=len(strings)):
+        whole = {nu for nu, bit in zip(strings, bits) if bit}
+        asked = []
+
+        def holds(name, tup, whole=whole, asked=asked):
+            nu = shelah.split_rel_name(name)[1]
+            asked.append(nu)
+            return nu in whole
+
+        oracle = AtomOracle(relation=reduction_relation, element=lambda i: i, holds=holds)
+        partial = reduction._trace(oracle, 0, nu_bound)
+        assert _judged(partial, nu_bound) == _judged(whole, nu_bound)
+        assert len(asked) == len(set(asked)) <= len(strings)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,33 @@ def test_automorphisms_of_clique():
     assert len(auts) == 6  # S_3
 
 
+@pytest.mark.parametrize("src, dst, complete, nodes", [
+    (k(2), k(3), False, 3),  # cap 0 still reaches the first embedding's leaf
+    (k(2), DiGraph.of(4, [(0, 1), (1, 2), (2, 3)]), True, 3),  # no embedding
+])
+def test_enumerate_cap_zero(src, dst, complete, nodes):
+    out = enumerate_embeddings(src, dst, cap=0, budget=nodes)
+    assert out.morphisms == [] and out.complete == complete
+    with pytest.raises(BudgetExhausted) as err:
+        enumerate_embeddings(src, dst, cap=0, budget=nodes - 1)
+    assert err.value.used == nodes
+
+
+# (structure, automorphisms, nodes), the nodes recorded from the search that
+# enumerated automorphisms with a cap of size! + 1
+@pytest.mark.parametrize("s, count, nodes", [
+    (k(3), 6, 16),
+    (corpus.pure_set_structure(4), 24, 65),
+    (DiGraph.of(5, [(i, (i + 1) % 5) for i in range(5)]), 5, 26),
+    (DiGraph.of(4, [(0, 1), (1, 2), (2, 3)]), 1, 8),
+])
+def test_automorphisms_golden_nodes(s, count, nodes):
+    assert len(automorphisms(s, budget=nodes)) == count
+    with pytest.raises(BudgetExhausted) as err:
+        automorphisms(s, budget=nodes - 1)
+    assert err.value.used == nodes
+
+
 @pytest.mark.parametrize("call", [
     lambda: find_isomorphism(FinStructure.of(UNARY, 2), DiGraph.of(3, [])),  # sizes differ
     lambda: find_isomorphism(FinStructure.of(UNARY, 3), k(3)),  # fact counts differ
