@@ -134,8 +134,12 @@ def composed_functor(restrict_size: int = 5, nu_bound: int = 0) -> Functor:
         return encode(restrict(build_f_graph(g), restrict_size, rel_bound))
 
     def mor(src: DiGraph, h: Morphism, dst: DiGraph) -> RoleMap:
+        # a source role's codes are restriction points, so one fixed-size
+        # table serves them; virtual roles' codes still go through lifted
+        lifted = induced_embedding(src, dst, h)
+        table = [lifted(c) for c in range(restrict_size)]
         return RoleMap(
-            point_map=induced_embedding(src, dst, h),
+            point_map=lambda c: table[c] if c < restrict_size else lifted(c),
             source=obj(src),
             target=obj(dst),
         )

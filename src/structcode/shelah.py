@@ -216,20 +216,40 @@ def tag_facts(
 ) -> Iterator[Fact]:
     """The tag facts among each group's elements, at the group's positions.
 
-    A group maps elements to positions. Within it, R_nu(i) holds where
-    holds_R(nu, x) does, and gF_nu(i, j) where eval_F(nu, x) is the element
-    at j in the same group. rels are (name, arity) pairs of tag relations;
-    each name is parsed once per call.
+    A group maps elements to positions. Within it, R_nu(i) holds where nu is
+    an initial segment of x, and gF_nu(i, j) where x XOR nu is the element at
+    j in the same group. rels are (name, arity) pairs of tag relations; each
+    name is parsed once per call. Facts come group by group, then relation
+    by relation in the given order, then element by element in group order.
+
+    Each element is read once per group, as (c, tail) with c the integer of
+    its first `width` bits, width being the longest nu or prefix in play.
+    Two elements with one tail agree on all bits iff they agree on those, so
+    R_nu is a shift and compare and gF_nu one XOR and one dict lookup. This
+    shares no code with holds_R and eval_F, the deciders it is checked
+    against.
     """
-    parsed = [(name, *split_rel_name(name)) for name, _ in rels]
+    parsed = []
+    for name, _ in rels:
+        kind, nu = split_rel_name(name)
+        parsed.append((name, kind == "R", len(nu), int(nu or "0", 2)))
+    longest_nu = max((length for _, _, length, _ in parsed), default=0)
     for group in groups:
-        for name, kind, nu in parsed:
-            for x, i in group.items():
-                if kind == "R":
-                    if holds_R(nu, x):
+        read = [(x.prefix, x.tail, i) for x, i in group.items()]
+        width = max([longest_nu, *(len(prefix) for prefix, _, _ in read)])
+        coded = [(int(prefix.ljust(width, str(tail)) or "0", 2), tail, i)
+                 for prefix, tail, i in read]
+        at = {(c, tail): i for c, tail, i in coded}
+        for name, is_r, length, value in parsed:
+            shift = width - length
+            if is_r:
+                for c, _, i in coded:
+                    if c >> shift == value:
                         yield name, (i,)
-                else:
-                    j = group.get(eval_F(nu, x))
+            else:
+                mask = value << shift
+                for c, tail, i in coded:
+                    j = at.get((c ^ mask, tail))
                     if j is not None:
                         yield name, (i, j)
 

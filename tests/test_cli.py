@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
@@ -133,6 +134,40 @@ def test_reduce_f_then_decode_f(files, tmp_path):
     ])
     assert code == 0
     assert parse_graph(decoded) == parse_graph(K2)
+
+
+# sha256 of reduce-f's stdout, recorded before the tag-fact lister worked on
+# integers; at --nu-bound 0 the tag relations cannot see the edges, so the
+# three graphs print alike
+GOLDEN_REDUCE_F = {
+    ("k2.g", 12, 0): "7905ee43ca8e8c219f169dd3a81ca49f8255c3fcb0f028a4bf947ecb74a921e8",
+    ("k2.g", 12, 1): "1e1483fcd37b5c8cdf0b3f7025e70ddc250f0959224f1d8107fe057cdc7636e3",
+    ("k2.g", 12, 3): "a5f722e1ef9784d814986966d32658f9ad5d4f1b908492f8fbb853b85106527c",
+    ("k2.g", 30, 0): "9e32d0dc2bcaf246f1229d27c891ad274e74df3c2f6561c4259d2d6808658835",
+    ("k2.g", 30, 1): "91b0fc8eee93d7331a4d58f2b1673dc2913ffc054be012a93746957b277eb71a",
+    ("k2.g", 30, 3): "1bc492c2184241594285032430459704d7cd230d7418fd93b52111eb41d55313",
+    ("k3.g", 12, 0): "7905ee43ca8e8c219f169dd3a81ca49f8255c3fcb0f028a4bf947ecb74a921e8",
+    ("k3.g", 12, 1): "c9df3bd29554286154e509628bd85cac6c4816b7d63ad0555e689e5be5886a49",
+    ("k3.g", 12, 3): "a9b4a7ca8e0a4437738209fa4c12dc1ed4dda55b27170635ffe578c96d579792",
+    ("k3.g", 30, 0): "9e32d0dc2bcaf246f1229d27c891ad274e74df3c2f6561c4259d2d6808658835",
+    ("k3.g", 30, 1): "cc460154adaf14ba721f7b19b76652daeeb616f19e8b63526ea9476af0222d7d",
+    ("k3.g", 30, 3): "e267b7121765e66408c3c0f19d67122ca5f10d14ec6607b52e8974c5e7e6ca0e",
+    ("edge.g", 12, 0): "7905ee43ca8e8c219f169dd3a81ca49f8255c3fcb0f028a4bf947ecb74a921e8",
+    ("edge.g", 12, 1): "d96ba6e15dd80d5ad73373cc9cab780aace69d50edf952e9b8f193fb1253984c",
+    ("edge.g", 12, 3): "78016969700a7bb003a94ca9a4e32b3030b89561f4a4e14f09e26731913216c0",
+    ("edge.g", 30, 0): "9e32d0dc2bcaf246f1229d27c891ad274e74df3c2f6561c4259d2d6808658835",
+    ("edge.g", 30, 1): "0b0410e1aa08dfe024eaf0996f6d481e583c1adad48f1bed953efa78deb93fdc",
+    ("edge.g", 30, 3): "2851a605be7667f65bfa8a9c0eda465dd12c8371f31fd9e34aa530020de35dae",
+}
+
+
+@pytest.mark.parametrize("graph, size, nu_bound", sorted(GOLDEN_REDUCE_F))
+def test_golden_reduce_f(files, graph, size, nu_bound):
+    code, out = run_cli([
+        "reduce-f", "--graph", files[graph], "--restrict", str(size), "--nu-bound", str(nu_bound),
+    ])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REDUCE_F[graph, size, nu_bound]
 
 
 def test_decode_f_incomplete_is_exit_1(files, tmp_path):

@@ -456,3 +456,75 @@ def test_decode_pair_assignment_rule(k, budget, expected):
     listing = dataclasses.replace(oracle, facts=_sweeping_lister(oracle.holds))
     assert _decode_outcome(oracle, k, nu_bound=1, budget=budget) == expected
     assert _decode_outcome(listing, k, nu_bound=1, budget=budget) == expected
+
+
+def _raises(*args):
+    raise AssertionError("the tag-fact lister called a tag decider")
+
+
+def test_lister_shares_no_tag_code_with_the_decider(monkeypatch):
+    # with the deciders' tag functions broken, the listing restricts still
+    # equal the brute-force ones computed by those functions beforehand
+    g = DiGraph.of(3, [(0, 1), (1, 2), (2, 2)], allow_loops=True)
+    rel_bound = reduction_rel_bound(3)
+    brute = restrict(dataclasses.replace(build_f_graph(g), facts=None), 30, rel_bound)
+    elems = shelah.enumerate_elems(0, 16)
+    decided = restrict(shelah.shelah_oracle(0), 16, 2 * ((1 << 4) - 1))
+    for name in ("holds_R", "eval_F", "holds_graphF"):
+        monkeypatch.setattr(shelah, name, _raises)
+    assert restrict(build_f_graph(g), 30, rel_bound) == brute
+    assert shelah.reduct_restriction(elems, 3) == decided
+    with pytest.raises(AssertionError, match="decider"):
+        restrict(dataclasses.replace(build_f_graph(g), facts=None), 30, rel_bound)
+
+
+class _CountedElem:
+    """Stands in for a block element and counts each read of its bits."""
+
+    def __init__(self, x):
+        self.x = x
+        self.reads = 0
+
+    @property
+    def prefix(self):
+        self.reads += 1
+        return self.x.prefix
+
+    @property
+    def tail(self):
+        return self.x.tail
+
+    def bit(self, i):
+        self.reads += 1
+        return self.x.bit(i)
+
+    def bits(self, n):
+        self.reads += 1
+        return self.x.bits(n)
+
+    def __hash__(self):
+        return hash(self.x)
+
+    def __eq__(self, other):
+        return self.x == getattr(other, "x", other)
+
+
+@pytest.mark.parametrize("nu_bound", [0, 1, 3])
+def test_lister_reads_each_block_element_once(monkeypatch, nu_bound):
+    # a lister that evaluated each (nu, element) pair would read every
+    # element once per tag relation or once per bit
+    g = DiGraph.of(3, [(0, 1), (1, 2), (2, 2)], allow_loops=True)
+    rel_bound = reduction_rel_bound(nu_bound)
+    expected = restrict(build_f_graph(g), 30, rel_bound)
+    block_elem = reduction._block_elem
+    made = []
+
+    def counted(edge_oracle, m, n, k):
+        made.append(_CountedElem(block_elem(edge_oracle, m, n, k)))
+        return made[-1]
+
+    monkeypatch.setattr(reduction, "_block_elem", counted)
+    assert restrict(build_f_graph(g), 30, rel_bound) == expected
+    blocks = sum(1 for code in range(30) if decompose(code)[0] == "block")
+    assert blocks > 10
+    assert [x.reads for x in made] == [1] * blocks

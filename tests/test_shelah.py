@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +20,10 @@ from structcode.shelah import (
     paired_reduct_restrictions,
     reduct_iso,
     reduct_restriction,
+    rel_name,
     shelah_oracle,
+    split_rel_name,
+    tag_facts,
     tag_signature,
 )
 
@@ -189,3 +194,61 @@ def test_paired_restrictions_are_h_images():
     assert left.sig == right.sig
     # matched facts under the identity index strategy
     assert left.facts == right.facts
+
+
+def _reference_tag_facts(groups, rels):
+    """tag_facts written from the deciders: one holds_R or eval_F per pair."""
+    for group in groups:
+        for name, _ in rels:
+            kind, nu = split_rel_name(name)
+            for x, i in group.items():
+                if kind == "R":
+                    if holds_R(nu, x):
+                        yield name, (i,)
+                else:
+                    j = group.get(eval_F(nu, x))
+                    if j is not None:
+                        yield name, (i, j)
+
+
+# groups mix both tails and carry prefixes of up to 12 bits, longer than
+# every listed nu (up to 5 bits, the empty nu included)
+long_elems = st.builds(SElem.make, st.text(alphabet="01", max_size=12), st.integers(0, 1))
+groups = st.lists(
+    st.lists(long_elems, unique=True, max_size=12).map(
+        lambda xs: {x: 3 * k + 1 for k, x in enumerate(xs)}
+    ),
+    max_size=4,
+)
+tag_rels = st.lists(
+    st.tuples(st.sampled_from(["R", "gF"]), st.text(alphabet="01", max_size=5)),
+    unique=True,
+    max_size=12,
+).map(lambda pairs: [(rel_name(kind, nu), 1 if kind == "R" else 2) for kind, nu in pairs])
+
+
+@given(groups, tag_rels)
+def test_tag_facts_matches_deciders(gs, rels):
+    assert list(tag_facts(gs, rels)) == list(_reference_tag_facts(gs, rels))
+
+
+@pytest.mark.parametrize("b", range(6))
+def test_tag_facts_matches_deciders_on_tag_signatures(b):
+    rng = random.Random(b)
+    rels = list(tag_signature(b).relations)
+    shuffled = rng.sample(rels, len(rels))
+    closed = sorted(closure(SElem("0110", 1), 3), key=elem_index)
+    mixed = enumerate_elems(0, 9) + enumerate_elems(1, 9)
+    rng.shuffle(mixed)
+    gs = [
+        {},
+        {x: i for i, x in enumerate(enumerate_elems(0, 20))},
+        {x: 40 - i for i, x in enumerate(closed)},
+        {x: i for i, x in enumerate(mixed)},
+    ]
+    for order in (rels, shuffled):
+        got = list(tag_facts(gs, order))
+        assert got == list(_reference_tag_facts(gs, order))
+    assert got  # R_ holds everywhere, so a non-empty group lists facts
+    assert list(tag_facts([{}, {}], rels)) == []
+    assert list(tag_facts(gs, [])) == []
