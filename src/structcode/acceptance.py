@@ -9,6 +9,7 @@ subcommand drive these functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -45,11 +46,17 @@ class CriterionResult:
         return " ".join(parts)
 
 
-def _timed(fn: Callable[[], CriterionResult]) -> CriterionResult:
-    start = time.monotonic()
-    result = fn()
-    result.elapsed = time.monotonic() - start
-    return result
+def _timed(criterion: Callable[[int], CriterionResult]) -> Callable[[int], CriterionResult]:
+    """Wrap a criterion so that its result carries its wall time in elapsed."""
+
+    @functools.wraps(criterion)
+    def timed(seed: int = DEFAULT_SEED) -> CriterionResult:
+        start = time.monotonic()
+        result = criterion(seed)
+        result.elapsed = time.monotonic() - start
+        return result
+
+    return timed
 
 
 # ---------------------------------------------------------------------------
@@ -63,22 +70,20 @@ def _coding_corpus(seed: int):
         yield corpus.random_structure(rng, max_size=4, max_relations=3, max_arity=3)
 
 
+@_timed
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
-    def run() -> CriterionResult:
-        failures = 0
-        for s in _coding_corpus(seed):
-            try:
-                m = coding.canonical_iso(s)  # verifies pointwise internally
-                back = coding.decode(coding.encode(s).graph, s.sig)
-                if search.find_isomorphism(s, back) is None:
-                    failures += 1
-            except coding.MalformedCoding:
+    start = time.monotonic()
+    failures = 0
+    for s in _coding_corpus(seed):
+        try:
+            coding.canonical_iso(s)  # verifies pointwise internally
+            back = coding.decode(coding.encode(s).graph, s.sig)
+            if search.find_isomorphism(s, back) is None:
                 failures += 1
-        result = CriterionResult("C1", failures == 0, {"checked": 200, "failures": failures})
-        return result
-
-    result = _timed(run)
-    if result.elapsed >= 30.0:
+        except coding.MalformedCoding:
+            failures += 1
+    result = CriterionResult("C1", failures == 0, {"checked": 200, "failures": failures})
+    if time.monotonic() - start >= 30.0:
         result.passed = False
         result.notes.append("time-bound-30s-exceeded")
     return result
@@ -98,110 +103,104 @@ def _random_binary_structure(rng: random.Random, max_size: int) -> FinStructure:
     return FinStructure(sig, size, facts)
 
 
+@_timed
 def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
-    def run() -> CriterionResult:
-        rng = random.Random(seed + 2)
-        disagreements = 0
-        iso_pairs = 0
-        for _ in range(500):
-            a = _random_binary_structure(rng, 3)
-            if rng.random() < 0.5:
-                b, _ = corpus.random_permuted_copy(rng, a)
-            else:
-                b = _random_binary_structure(rng, 3)
-            s_iso = search.find_isomorphism(a, b) is not None
-            g_iso = (
-                search.find_isomorphism(coding.encode(a).graph, coding.encode(b).graph)
-                is not None
-            )
-            if s_iso:
-                iso_pairs += 1
-            if s_iso != g_iso:
-                disagreements += 1
-        return CriterionResult(
-            "C2",
-            disagreements == 0,
-            {"checked": 500, "isomorphic_pairs": iso_pairs, "disagreements": disagreements},
+    rng = random.Random(seed + 2)
+    disagreements = 0
+    iso_pairs = 0
+    for _ in range(500):
+        a = _random_binary_structure(rng, 3)
+        if rng.random() < 0.5:
+            b, _ = corpus.random_permuted_copy(rng, a)
+        else:
+            b = _random_binary_structure(rng, 3)
+        s_iso = search.find_isomorphism(a, b) is not None
+        g_iso = (
+            search.find_isomorphism(coding.encode(a).graph, coding.encode(b).graph)
+            is not None
         )
-
-    return _timed(run)
+        if s_iso:
+            iso_pairs += 1
+        if s_iso != g_iso:
+            disagreements += 1
+    return CriterionResult(
+        "C2",
+        disagreements == 0,
+        {"checked": 500, "isomorphic_pairs": iso_pairs, "disagreements": disagreements},
+    )
 
 
 # ---------------------------------------------------------------------------
 # C3: embedding forward transfer, reverse direction probed and reported
 
 
+@_timed
 def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
-    def run() -> CriterionResult:
-        rng = random.Random(seed + 3)
-        failures = 0
-        for _ in range(200):
-            a, b, h = corpus.random_embedded_pair(rng, max_size=4, max_relations=3, max_arity=3)
-            try:
-                gm = coding.encode_morphism(a, b, h)
-            except (ValueError, coding.MalformedCoding):
-                failures += 1
-                continue
-            if not coding.is_graph_embedding(coding.encode(a).graph, coding.encode(b).graph, gm):
-                failures += 1
+    rng = random.Random(seed + 3)
+    failures = 0
+    for _ in range(200):
+        a, b, h = corpus.random_embedded_pair(rng, max_size=4, max_relations=3, max_arity=3)
+        try:
+            gm = coding.encode_morphism(a, b, h)
+        except (ValueError, coding.MalformedCoding):
+            failures += 1
+            continue
+        if not coding.is_graph_embedding(coding.encode(a).graph, coding.encode(b).graph, gm):
+            failures += 1
 
-        # Reverse probe: coded-graph embeddability vs structure embeddability
-        # on fresh unplanted pairs. Mismatches where the graphs embed but the
-        # structures do not are findings, not failures (only the elementary
-        # version is claimed); the other direction failing would contradict
-        # forward transfer and does count as a failure.
-        findings = 0
-        skipped = 0
-        for _ in range(60):
-            a = corpus.random_structure(rng, max_size=2, max_relations=2, max_arity=2)
-            b = corpus.random_structure(rng, max_size=2, sig=a.sig)
-            s_emb = search.find_embedding(a, b) is not None
-            try:
-                g_emb = (
-                    search.find_embedding(
-                        coding.encode(a).graph, coding.encode(b).graph, budget=300_000
-                    )
-                    is not None
+    # Reverse probe: coded-graph embeddability vs structure embeddability
+    # on fresh unplanted pairs. Mismatches where the graphs embed but the
+    # structures do not are findings, not failures (only the elementary
+    # version is claimed); the other direction failing would contradict
+    # forward transfer and does count as a failure.
+    findings = 0
+    skipped = 0
+    for _ in range(60):
+        a = corpus.random_structure(rng, max_size=2, max_relations=2, max_arity=2)
+        b = corpus.random_structure(rng, max_size=2, sig=a.sig)
+        s_emb = search.find_embedding(a, b) is not None
+        try:
+            g_emb = (
+                search.find_embedding(
+                    coding.encode(a).graph, coding.encode(b).graph, budget=300_000
                 )
-            except BudgetExhausted:
-                skipped += 1
-                continue
-            if g_emb and not s_emb:
-                findings += 1
-            if s_emb and not g_emb:
-                failures += 1
-        result = CriterionResult(
-            "C3",
-            failures == 0,
-            {
-                "forward_checked": 200,
-                "failures": failures,
-                "reverse_probed": 60,
-                "reverse_findings": findings,
-                "reverse_skipped": skipped,
-            },
-        )
-        if findings:
-            result.notes.append("reverse-direction-counterexamples-found")
-        return result
-
-    return _timed(run)
+                is not None
+            )
+        except BudgetExhausted:
+            skipped += 1
+            continue
+        if g_emb and not s_emb:
+            findings += 1
+        if s_emb and not g_emb:
+            failures += 1
+    result = CriterionResult(
+        "C3",
+        failures == 0,
+        {
+            "forward_checked": 200,
+            "failures": failures,
+            "reverse_probed": 60,
+            "reverse_findings": findings,
+            "reverse_skipped": skipped,
+        },
+    )
+    if findings:
+        result.notes.append("reverse-direction-counterexamples-found")
+    return result
 
 
 # ---------------------------------------------------------------------------
 # C4: cycle uniqueness on the coding corpus
 
 
+@_timed
 def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
-    def run() -> CriterionResult:
-        failures = 0
-        for s in _coding_corpus(seed):
-            cycles = simple_cycles(coding.encode(s).graph)
-            if sorted(len(c) for c in cycles) != [3, 5, 7]:
-                failures += 1
-        return CriterionResult("C4", failures == 0, {"checked": 200, "failures": failures})
-
-    return _timed(run)
+    failures = 0
+    for s in _coding_corpus(seed):
+        cycles = simple_cycles(coding.encode(s).graph)
+        if sorted(len(c) for c in cycles) != [3, 5, 7]:
+            failures += 1
+    return CriterionResult("C4", failures == 0, {"checked": 200, "failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -243,44 +242,42 @@ def pinned_k2_k3() -> bool:
     )
 
 
+@_timed
 def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
-    def run() -> CriterionResult:
-        def rank_types(s: FinStructure) -> list[tuple]:
-            return [efgames._rank_type(s, n) for n in range(4)]
+    def rank_types(s: FinStructure) -> list[tuple]:
+        return [efgames._rank_type(s, n) for n in range(4)]
 
-        # exhaustive over all one-binary-relation structures with <= 3
-        # elements, up to isomorphism (the game value is an isomorphism
-        # invariant, and the solvers are permutation-blind), then a seeded
-        # sample at 4 elements; each structure's rank types are built once
-        reps = _canonical_binary_structures(3)
-        rep_types = [rank_types(s) for s in reps]
-        pairs = [(reps[i], reps[j], rep_types[i], rep_types[j])
-                 for i in range(len(reps)) for j in range(i, len(reps))]
-        rng = random.Random(seed + 5)
-        for _ in range(500):
-            a = _random_binary_structure(rng, 4)
-            b = _random_binary_structure(rng, 4)
-            pairs.append((a, b, rank_types(a), rank_types(b)))
-        # the game search in both reply orders against rank-type equality
-        checked, disagreements = 4 * len(pairs), 0
-        for a, b, ta, tb in pairs:
-            for n in range(4):
-                game = efgames.ef_winner(a, b, n) == efgames.DUPLICATOR
-                if not game == efgames.equiv_n(a, b, n) == (ta[n] == tb[n]):
-                    disagreements += 1
-        pinned_ok = pinned_k2_k3()
-        return CriterionResult(
-            "C5",
-            disagreements == 0 and pinned_ok,
-            {
-                "exhaustive_reps": len(reps),
-                "checked": checked,
-                "disagreements": disagreements,
-                "pinned_ok": int(pinned_ok),
-            },
-        )
-
-    return _timed(run)
+    # exhaustive over all one-binary-relation structures with <= 3
+    # elements, up to isomorphism (the game value is an isomorphism
+    # invariant, and the solvers are permutation-blind), then a seeded
+    # sample at 4 elements; each structure's rank types are built once
+    reps = _canonical_binary_structures(3)
+    rep_types = [rank_types(s) for s in reps]
+    pairs = [(reps[i], reps[j], rep_types[i], rep_types[j])
+             for i in range(len(reps)) for j in range(i, len(reps))]
+    rng = random.Random(seed + 5)
+    for _ in range(500):
+        a = _random_binary_structure(rng, 4)
+        b = _random_binary_structure(rng, 4)
+        pairs.append((a, b, rank_types(a), rank_types(b)))
+    # the game search in both reply orders against rank-type equality
+    checked, disagreements = 4 * len(pairs), 0
+    for a, b, ta, tb in pairs:
+        for n in range(4):
+            game = efgames.ef_winner(a, b, n) == efgames.DUPLICATOR
+            if not game == efgames.equiv_n(a, b, n) == (ta[n] == tb[n]):
+                disagreements += 1
+    pinned_ok = pinned_k2_k3()
+    return CriterionResult(
+        "C5",
+        disagreements == 0 and pinned_ok,
+        {
+            "exhaustive_reps": len(reps),
+            "checked": checked,
+            "disagreements": disagreements,
+            "pinned_ok": int(pinned_ok),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,70 +313,66 @@ def reduct_iso_failures(rng: random.Random, count: int, draw_elem) -> int:
     return failures
 
 
+@_timed
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
-    def run() -> CriterionResult:
-        rng = random.Random(seed + 6)
-        failures = eval_F_law_failures(rng, 1000, _random_selem)
-        closure_failures = 0
-        for _ in range(20):
-            x = _random_selem(rng)
-            for bound in range(7):
-                if len(shelah.closure(x, bound)) != (1 << bound):
-                    closure_failures += 1
-        reduct_failures = reduct_iso_failures(rng, 500, _random_selem)
-        total = failures + closure_failures + reduct_failures
-        return CriterionResult(
-            "C6",
-            total == 0,
-            {
-                "law_samples": 1000,
-                "law_failures": failures,
-                "closure_failures": closure_failures,
-                "reduct_queries": 500,
-                "reduct_failures": reduct_failures,
-            },
-        )
-
-    return _timed(run)
+    rng = random.Random(seed + 6)
+    failures = eval_F_law_failures(rng, 1000, _random_selem)
+    closure_failures = 0
+    for _ in range(20):
+        x = _random_selem(rng)
+        for bound in range(7):
+            if len(shelah.closure(x, bound)) != (1 << bound):
+                closure_failures += 1
+    reduct_failures = reduct_iso_failures(rng, 500, _random_selem)
+    total = failures + closure_failures + reduct_failures
+    return CriterionResult(
+        "C6",
+        total == 0,
+        {
+            "law_samples": 1000,
+            "law_failures": failures,
+            "closure_failures": closure_failures,
+            "reduct_queries": 500,
+            "reduct_failures": reduct_failures,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
 # C7: reduction round-trip and induced-embedding transfer
 
 
+@_timed
 def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
-    def run() -> CriterionResult:
-        rng = random.Random(seed + 7)
-        failures = 0
-        for _ in range(500):
-            g = corpus.random_graph(rng, max_size=6)
-            try:
-                if reduction.decode_f(reduction.build_f_graph(g), g.size, nu_bound=3, budget=50) != g:
-                    failures += 1
-            except (reduction.DecodeIncomplete, reduction.ContradictoryEvidence):
+    rng = random.Random(seed + 7)
+    failures = 0
+    for _ in range(500):
+        g = corpus.random_graph(rng, max_size=6)
+        try:
+            if reduction.decode_f(reduction.build_f_graph(g), g.size, nu_bound=3, budget=50) != g:
                 failures += 1
+        except (reduction.DecodeIncomplete, reduction.ContradictoryEvidence):
+            failures += 1
 
-        transfer_failures = 0
-        rel_bound = reduction.reduction_rel_bound(3)
-        for _ in range(100):
-            g1, g2, h = corpus.random_graph_embedding(rng, max_size=5)
-            point_map = reduction.induced_embedding(g1, g2, h)
-            src = restrict(reduction.build_f_graph(g1), 30, rel_bound)
-            images = [point_map(code) for code in range(30)]
-            if not _oracle_embedding_check(src, reduction.build_f_graph(g2), images):
-                transfer_failures += 1
-        return CriterionResult(
-            "C7",
-            failures == 0 and transfer_failures == 0,
-            {
-                "round_trips": 500,
-                "round_trip_failures": failures,
-                "embeddings": 100,
-                "transfer_failures": transfer_failures,
-            },
-        )
-
-    return _timed(run)
+    transfer_failures = 0
+    rel_bound = reduction.reduction_rel_bound(3)
+    for _ in range(100):
+        g1, g2, h = corpus.random_graph_embedding(rng, max_size=5)
+        point_map = reduction.induced_embedding(g1, g2, h)
+        src = restrict(reduction.build_f_graph(g1), 30, rel_bound)
+        images = [point_map(code) for code in range(30)]
+        if not _oracle_embedding_check(src, reduction.build_f_graph(g2), images):
+            transfer_failures += 1
+    return CriterionResult(
+        "C7",
+        failures == 0 and transfer_failures == 0,
+        {
+            "round_trips": 500,
+            "round_trip_failures": failures,
+            "embeddings": 100,
+            "transfer_failures": transfer_failures,
+        },
+    )
 
 
 def _oracle_embedding_check(src: FinStructure, target_oracle, images: list[int]) -> bool:
@@ -410,50 +403,48 @@ def stage_chain(approx: limits.Approximation, stages: int) -> tuple[int, limits.
     return breaks, prev
 
 
+@_timed
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
-    def run() -> CriterionResult:
-        rng = random.Random(seed + 8)
-        nesting_failures = 0
-        classify_failures = 0
-        iso_failures = 0
-        for _ in range(100):
-            pattern = corpus.random_pattern(rng, stabilize_by=20)
-            approx = limits.Approximation.from_pattern(pattern)
-            breaks, stage = stage_chain(approx, 30)
-            nesting_failures += breaks
-            promised = "S0" if pattern[-1] == "0" else "S1"
-            if limits.classify_limit(approx, 0, approx.promised_stabilization) != promised:
-                classify_failures += 1
-            left = limits.stage_restriction(stage, 3)
-            right = limits.limit_restriction(approx, 0, stage, approx.promised_stabilization, 3)
-            if search.find_isomorphism(left, right) is None:
-                iso_failures += 1
+    rng = random.Random(seed + 8)
+    nesting_failures = 0
+    classify_failures = 0
+    iso_failures = 0
+    for _ in range(100):
+        pattern = corpus.random_pattern(rng, stabilize_by=20)
+        approx = limits.Approximation.from_pattern(pattern)
+        breaks, stage = stage_chain(approx, 30)
+        nesting_failures += breaks
+        promised = "S0" if pattern[-1] == "0" else "S1"
+        if limits.classify_limit(approx, 0, approx.promised_stabilization) != promised:
+            classify_failures += 1
+        left = limits.stage_restriction(stage, 3)
+        right = limits.limit_restriction(approx, 0, stage, approx.promised_stabilization, 3)
+        if search.find_isomorphism(left, right) is None:
+            iso_failures += 1
 
-        # jump locality: agreement through a stage never pins the limit
-        locality_failures = 0
-        for _ in range(20):
-            prefix = "".join(str(rng.randint(0, 1)) for _ in range(10))
-            a0 = limits.Approximation.from_pattern(prefix + "0")
-            a1 = limits.Approximation.from_pattern(prefix + "1")
-            if limits.build_stage(a0, 0, 10) != limits.build_stage(a1, 0, 10):
-                locality_failures += 1
-            if limits.classify_limit(a0, 0, 10) == limits.classify_limit(a1, 0, 10):
-                locality_failures += 1
-        total = nesting_failures + classify_failures + iso_failures + locality_failures
-        return CriterionResult(
-            "C8",
-            total == 0,
-            {
-                "approximations": 100,
-                "nesting_failures": nesting_failures,
-                "classify_failures": classify_failures,
-                "iso_failures": iso_failures,
-                "locality_pairs": 20,
-                "locality_failures": locality_failures,
-            },
-        )
-
-    return _timed(run)
+    # jump locality: agreement through a stage never pins the limit
+    locality_failures = 0
+    for _ in range(20):
+        prefix = "".join(str(rng.randint(0, 1)) for _ in range(10))
+        a0 = limits.Approximation.from_pattern(prefix + "0")
+        a1 = limits.Approximation.from_pattern(prefix + "1")
+        if limits.build_stage(a0, 0, 10) != limits.build_stage(a1, 0, 10):
+            locality_failures += 1
+        if limits.classify_limit(a0, 0, 10) == limits.classify_limit(a1, 0, 10):
+            locality_failures += 1
+    total = nesting_failures + classify_failures + iso_failures + locality_failures
+    return CriterionResult(
+        "C8",
+        total == 0,
+        {
+            "approximations": 100,
+            "nesting_failures": nesting_failures,
+            "classify_failures": classify_failures,
+            "iso_failures": iso_failures,
+            "locality_pairs": 20,
+            "locality_failures": locality_failures,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -478,50 +469,48 @@ def commuting_square_failures(rng: random.Random, count: int) -> int:
     return failures
 
 
+@_timed
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
-    def run() -> CriterionResult:
-        rng = random.Random(seed + 9)
-        violations = 0
-        morphisms_checked = 0
+    rng = random.Random(seed + 9)
+    violations = 0
+    morphisms_checked = 0
 
-        # 50 structure chains for the encode functor; 50 graph chains for
-        # the reduction functor and, at desk scale, the composite
-        chains = [
-            corpus.random_induced_chain(
-                rng, corpus.random_structure(rng, max_size=4, max_relations=2, max_arity=2)
-            )
-            for _ in range(50)
-        ]
-        gchains = [
-            corpus.random_induced_chain(rng, corpus.random_graph(rng, max_size=5))
-            for _ in range(50)
-        ]
-        for functor, sample in (
-            (functors.encode_functor(), chains),
-            (functors.reduction_functor(probe_size=25), gchains),
-            (functors.composed_functor(restrict_size=5, nu_bound=0), gchains),
-        ):
-            # each chain is one identity morphism and a composable pair
-            morphisms_checked += 3 * len(sample)
-            violations += len(chain_laws(functor, sample).violations)
-
-        # commuting squares for the canonical isomorphism family
-        squares = 50
-        square_failures = commuting_square_failures(rng, squares)
-
-        passed = violations == 0 and square_failures == 0
-        return CriterionResult(
-            "C9",
-            passed,
-            {
-                "morphisms_checked": morphisms_checked,
-                "law_violations": violations,
-                "squares": squares,
-                "square_failures": square_failures,
-            },
+    # 50 structure chains for the encode functor; 50 graph chains for
+    # the reduction functor and, at desk scale, the composite
+    chains = [
+        corpus.random_induced_chain(
+            rng, corpus.random_structure(rng, max_size=4, max_relations=2, max_arity=2)
         )
+        for _ in range(50)
+    ]
+    gchains = [
+        corpus.random_induced_chain(rng, corpus.random_graph(rng, max_size=5))
+        for _ in range(50)
+    ]
+    for functor, sample in (
+        (functors.encode_functor(), chains),
+        (functors.reduction_functor(probe_size=25), gchains),
+        (functors.composed_functor(restrict_size=5, nu_bound=0), gchains),
+    ):
+        # each chain is one identity morphism and a composable pair
+        morphisms_checked += 3 * len(sample)
+        violations += len(chain_laws(functor, sample).violations)
 
-    return _timed(run)
+    # commuting squares for the canonical isomorphism family
+    squares = 50
+    square_failures = commuting_square_failures(rng, squares)
+
+    passed = violations == 0 and square_failures == 0
+    return CriterionResult(
+        "C9",
+        passed,
+        {
+            "morphisms_checked": morphisms_checked,
+            "law_violations": violations,
+            "squares": squares,
+            "square_failures": square_failures,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

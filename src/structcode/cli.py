@@ -200,9 +200,9 @@ def cmd_shelah(args) -> int:
     if action == "eval":
         print(shelah.eval_F(args.nu, shelah.SElem.parse(args.elem)))
     elif action == "holds-r":
-        x = shelah.SElem.parse(args.elem)
-        print("holds=yes" if shelah.holds_R(args.nu, x) else "holds=no")
-        return 0 if shelah.holds_R(args.nu, x) else 1
+        ok = shelah.holds_R(args.nu, shelah.SElem.parse(args.elem))
+        print("holds=yes" if ok else "holds=no")
+        return 0 if ok else 1
     elif action == "graphf":
         x = shelah.SElem.parse(args.elem)
         y = shelah.SElem.parse(args.other)

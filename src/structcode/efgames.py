@@ -16,7 +16,7 @@ _rank_type, the naive rank-n type that C5 compares the game value against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import combinations, product, repeat
 from typing import Optional, Sequence
 
 from .core import BudgetExhausted, DEFAULT_BUDGET, FinStructure, atoms
@@ -183,27 +183,27 @@ def ef_trace(left: Structish, right: Structish, n: int,
     ls, rs = _as_structure(left), _as_structure(right)
     solver = GameSolver(ls, rs, budget)
     cap = len(solver.moves)
-    winner = DUPLICATOR if solver.duplicator_wins((), min(n, cap)) else SPOILER
+    if solver.duplicator_wins((), min(n, cap)):
+        # Spoiler's least move re-pebbles the first pair each round, and
+        # _extends allows only its partner
+        if n == 0 or cap == 0:
+            return DUPLICATOR, []
+        (_, b), _ = solver.answer((), {}, 0, min(n - 1, cap))
+        return DUPLICATOR, [("left", 0, b)] * n
     trace: list[tuple[str, int, Optional[int]]] = []
     pebbles: tuple[tuple[int, int], ...] = ()
     for k in range(n, 0, -1):
         fwd = dict(pebbles)
-        if solver.duplicator_wins(pebbles, min(k, cap)):
-            if not solver.moves:
-                break
-            i, reply = 0, solver.answer(pebbles, fwd, 0, min(k - 1, cap))
-            assert reply is not None
-        else:
-            i = next(i for i in solver.moves
-                     if solver.answer(pebbles, fwd, i, min(k - 1, cap)) is None)
-            reply = solver.answer(pebbles, fwd, i, None)
+        i = next(i for i in solver.moves
+                 if solver.answer(pebbles, fwd, i, min(k - 1, cap)) is None)
+        reply = solver.answer(pebbles, fwd, i, None)
         side, e = ("left", i) if i < ls.size else ("right", i - ls.size)
         if reply is None:
             trace.append((side, e, None))
             break
         (a, b), pebbles = reply
         trace.append((side, e, b if side == "left" else a))
-    return winner, trace
+    return SPOILER, trace
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +258,19 @@ def verify_duplicator_strategy(leftR: FinStructure, rightR: FinStructure,
     """Check a positional Duplicator strategy against every Spoiler line.
 
     strategy[i] is Duplicator's answer (a rightR index) when Spoiler plays
-    left element i. A Spoiler move on the right is answered through the
-    inverse, which pebbles the same pair as the matching left move, so the
-    left moves alone cover every line. Returns True iff the pebble position
-    is a partial isomorphism after each of the n rounds on every branch.
-    ValueError unless strategy is a bijection between equal universes.
+    left element i; a right move is answered through the inverse, which
+    pebbles the same pair. A line's position is the set of pairs it has
+    pebbled, and every set of at most n pairs is some line's, so the
+    strategy wins n rounds iff each set of min(n, size) pairs is a partial
+    isomorphism. ValueError unless strategy is a bijection between equal
+    universes.
     """
     if leftR.size != rightR.size or sorted(strategy) != list(range(rightR.size)):
         raise ValueError("strategy must be a bijection between equal universes")
     pairs = list(enumerate(strategy))
-
-    def play(pebbles: tuple[tuple[int, int], ...], k: int) -> bool:
-        return k == 0 or all(
-            _pebbles_partial_iso(leftR, rightR, pebbles + (pair,)) and play(pebbles + (pair,), k - 1)
-            for pair in pairs
-        )
-
-    return play((), n)
+    # a subset of pebbles checks a subset of the atoms, so the largest sets suffice
+    return all(_pebbles_partial_iso(leftR, rightR, p)
+               for p in combinations(pairs, min(n, len(pairs))))
 
 
 def verify_reduct_strategy(m: int, n: int, nu_bound: Optional[int] = None,
@@ -283,8 +279,7 @@ def verify_reduct_strategy(m: int, n: int, nu_bound: Optional[int] = None,
 
     Builds the paired restrictions from the shelah module (left universe the
     closure of the all-zeros string, right its flip image in the same order)
-    and plays every Spoiler line of the n-round game against the identity
-    index strategy.
+    and checks the identity index strategy for n rounds.
     """
     from .shelah import paired_reduct_restrictions
 

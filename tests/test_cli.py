@@ -244,6 +244,20 @@ def test_shelah_actions():
     assert code == 1 and "holds=no" in out
 
 
+@pytest.mark.parametrize("other, code, answer", [("1:0", 0, "yes"), (":0", 1, "no")])
+def test_shelah_graphf_exit_codes(other, code, answer):
+    # F_1 flips the first bit, so it maps :0 to 1:0 and not to itself
+    assert run_cli(["shelah", "graphf", "--nu", "1", "--elem", ":0", "--other", other]) == (
+        code, f"holds={answer}\n")
+
+
+def test_shelah_game_many_rounds():
+    # the verifier checks pebble sets of at most the universe's size, so
+    # 3000 rounds cost what 8 do; walking every line recursed too deep
+    code, out = run_cli(["shelah", "game", "--m", "2", "--rounds", "3000"])
+    assert code == 0 and out == "strategy_wins=yes\n"
+
+
 def test_limit_demo():
     code, out = run_cli(["limit-demo", "--pattern", "110", "--stages", "3"])
     assert code == 0

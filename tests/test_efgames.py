@@ -520,8 +520,8 @@ def test_strategy_out_of_range_is_rejected():
 
 
 def test_strategy_plays_each_pair_once_per_position(monkeypatch):
-    # a right-side Spoiler move pebbles the same pair as a left one, so
-    # 8 elements at 3 rounds check 8 + 8**2 + 8**3 positions
+    # each set of min(n, size) pebbled pairs is checked once, so 8 elements
+    # at 3 rounds check C(8, 3) sets
     from structcode import efgames
 
     calls = 0
@@ -534,4 +534,41 @@ def test_strategy_plays_each_pair_once_per_position(monkeypatch):
     monkeypatch.setattr(efgames, "_pebbles_partial_iso", counted)
     left, right, strategy = paired_reduct_restrictions(2, 2, 3)
     assert verify_duplicator_strategy(left, right, strategy, 3)
-    assert calls == 8 + 8 ** 2 + 8 ** 3
+    assert calls == 56
+
+
+def _walk_lines(left, right, strategy, n):
+    """Reference verifier: play every Spoiler line of n left moves, checking
+    the pebble position after each round."""
+    pairs = list(enumerate(strategy))
+
+    def play(pebbles, k):
+        return k == 0 or all(
+            _pebbles_partial_iso(left, right, pebbles + (pair,)) and play(pebbles + (pair,), k - 1)
+            for pair in pairs
+        )
+
+    return play((), n)
+
+
+@pytest.mark.parametrize("sig", [SIG, Signature.of(("E", 2), ("U", 1), ("T", 3))])
+def test_strategy_verifier_matches_line_walker(sig):
+    # an isomorphic copy with at most one atom toggled, answered by the
+    # copying permutation or by a random bijection
+    rng = random.Random(21)
+    verdicts = set()
+    for _ in range(100):
+        left = corpus.random_structure(rng, max_size=5, sig=sig)
+        right, perm = corpus.random_permuted_copy(rng, left)
+        if left.size and rng.random() < 0.5:
+            name, arity = rng.choice(sig.relations)
+            atom = (name, tuple(rng.randrange(left.size) for _ in range(arity)))
+            right = FinStructure(sig, right.size, right.facts ^ {atom})
+        strategy = [t for _, t in perm.pairs]
+        if rng.random() < 0.5:
+            rng.shuffle(strategy)
+        n = rng.randint(0, 6)
+        want = _walk_lines(left, right, strategy, n)
+        assert verify_duplicator_strategy(left, right, strategy, n) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
