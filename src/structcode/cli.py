@@ -113,7 +113,7 @@ def _print_found(m) -> int:
 
 def cmd_encode(args) -> int:
     s = parse_structure(_read(args.structure))
-    coded = coding.encode(s)
+    coded = coding.encode(s, budget=args.budget)
     text = serialize_graph(coded.graph)
     if args.provenance == "-":
         text += coding.render_provenance(coded)
@@ -345,6 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="code a structure file as a graph")
     p.add_argument("--structure", required=True, help="structure file")
     p.add_argument("--provenance", help="write role sidecar to PATH ('-' for stdout)")
+    p.add_argument("--budget", type=_count, default=budget,
+                   help="budget in vertices of the coded graph, checked before it is built")
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a coded graph back to a structure")

@@ -17,17 +17,16 @@ arities always get zero offsets and hence the plain i+k shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
-from .core import DiGraph, FinStructure, Morphism, Signature, _cyclic_components, adjacency, atoms
+from .core import BudgetExhausted, DiGraph, FinStructure, Morphism, Signature, atoms
 from .search import is_embedding
 
 Role = tuple
 
 CYCLE_TAGS = (3, 5, 7)
-HUB_ROLES = (("A",), ("B",), ("C",))
 
 
 class MalformedCoding(Exception):
@@ -65,6 +64,37 @@ def interior_lengths(arity: int, offset: int) -> tuple[int, ...]:
     return tuple(offset + arity + k - 1 for k in range(1, arity + 1))
 
 
+# encode's numbering: the hubs a, b, c are 0, 1, 2, the vertex at position
+# pos of the tag cycle is CYCLE_START[tag] + pos, and element i is ELEM_BASE + i
+CYCLE_START = {3: 3, 5: 6, 7: 11}
+ELEM_BASE = 18
+
+
+def _layout(sig: Signature, size: int) -> tuple[dict[str, tuple[int, int]], int]:
+    """encode's gadget numbering in closed form, and its vertex count.
+
+    Maps each relation to (its first gadget's junction, the gadget width):
+    the gadgets follow the elements, relations in signature order, tuples in
+    product order, and a gadget is its junction and then its chains'
+    interiors in position order. The width is 1 + sum(interior_lengths), so
+    no tuple of arity entries is built.
+    """
+    offsets = chain_offsets(sig)
+    bases = {}
+    at = ELEM_BASE + size
+    for name, arity in sig.relations:
+        width = 1 + arity * (offsets[name] + arity) + arity * (arity - 1) // 2
+        bases[name] = (at, width)
+        at += size ** arity * width
+    return bases, at
+
+
+def coded_size(sig: Signature, size: int) -> int:
+    """The vertex count of encode over size elements, without encoding:
+    18 + size + the sum over relations of size^arity * gadget width."""
+    return _layout(sig, size)[1]
+
+
 # Round trips encode and decode the same structure several times in a row:
 # canonical_iso(s) re-encodes s and re-decodes its graph, lambda_graph(g)
 # re-decodes g, whose check re-encodes the result (equal to the structure g
@@ -76,8 +106,21 @@ def interior_lengths(arity: int, offset: int) -> tuple[int, ...]:
 # there, a coding holds up to 2.1 MB and its decoding up to 1.2 MB, 0.34 MB
 # a pair on average (tracemalloc), so 512 entries would hold about 170 MB.
 @lru_cache(maxsize=2)
-def encode(s: FinStructure) -> CodedGraph:
-    """Deterministic coding; vertex 0, 1, 2 are the hubs a, b, c."""
+def encode(s: FinStructure, budget: Optional[int] = None) -> CodedGraph:
+    """Deterministic coding; vertex 0, 1, 2 are the hubs a, b, c.
+
+    With a budget, raises BudgetExhausted before allocating anything when
+    the coding would have more than budget vertices (see coded_size).
+    """
+    if budget is not None:
+        # when size > 1 and an arity has more bits than the budget, size^arity
+        # alone is over it, so that power is not formed
+        if s.size > 1 and any(arity > budget.bit_length() for _, arity in s.sig.relations):
+            raise BudgetExhausted(f"encode needs more than {budget} vertices", budget=budget)
+        used = coded_size(s.sig, s.size)
+        if used > budget:
+            raise BudgetExhausted(f"encode needs {used} vertices, more than {budget}",
+                                  used=used, budget=budget)
     offsets = chain_offsets(s.sig)
     a, b, c = 0, 1, 2
     roles: list[Role] = [("A",), ("B",), ("C",)]
@@ -122,118 +165,140 @@ def encode(s: FinStructure) -> CodedGraph:
 @dataclass(frozen=True)
 class DecodeResult:
     structure: FinStructure
-    roles: tuple[tuple[int, Role], ...]
     elements: tuple[int, ...]  # vertex of element index i, enumeration order
     image: tuple[int, ...]  # vertex v goes to image[v] in encode(structure)
+    provenance: tuple[tuple[int, Role], ...] = field(repr=False, compare=False)  # encode(structure)'s
+
+    @cached_property
+    def roles(self) -> tuple[tuple[int, Role], ...]:
+        """(v, role) for each vertex v: the coding's role at image[v], the
+        same object, so no role is built; the pairs are built on first use."""
+        provenance = self.provenance
+        return tuple(zip(range(len(self.image)), [provenance[i][1] for i in self.image]))
 
 
-def _find_cycles(g: DiGraph, out: list[list[int]]):
-    """The three tagged cycles as {tag: list of vertices in cycle order}.
-
-    The components of more than one vertex are checked in order of their
-    least vertex, so on a graph with several faults the one reported first
-    does not depend on how the components were found.
-    """
-    comps = _cyclic_components(g.size, out)
-    if len(comps) != 3:
-        raise MalformedCoding(f"expected 3 cycles, found {len(comps)} nontrivial components")
-    by_tag: dict[int, list[int]] = {}
-    for comp in comps:
-        comp_set = set(comp)
-        for v in comp:
-            succ = [w for w in out[v] if w in comp_set]
-            if len(succ) != 1 or len(out[v]) != 1:
-                raise MalformedCoding(f"cycle vertex {v} has out-degree != 1")
-        # a strongly connected component whose every vertex has its one
-        # out-edge inside it is a single cycle: the walk from start returns
-        # to start after exactly len(comp) steps
-        start = comp[0]
-        order = [start]
-        cur = out[start][0]
-        while cur != start:
-            order.append(cur)
-            cur = out[cur][0]
-        tag = len(order)
-        if tag not in CYCLE_TAGS or tag in by_tag:
-            raise MalformedCoding(f"unexpected cycle of length {tag}")
-        by_tag[tag] = order
-    return by_tag
+def _tag_cycles(size: int, outdeg: list[int], succ: list[int]) -> list[list[int]]:
+    """The cycles of v -> succ[v] on the vertices of out-degree 1, each in
+    cycle order from its vertex first reached, in order of the walk that
+    found it. Each walk marks what it steps on and stops at a marked vertex,
+    so every vertex is stepped on once."""
+    walk_of = [0] * size  # 1 + the start of the walk that stepped on v
+    cycles = []
+    for start in range(size):
+        if walk_of[start] or outdeg[start] != 1:
+            continue
+        v = start
+        while not walk_of[v] and outdeg[v] == 1:
+            walk_of[v] = start + 1
+            v = succ[v]
+        if walk_of[v] == start + 1:
+            cycle = [v]
+            w = succ[v]
+            while w != v:
+                cycle.append(w)
+                w = succ[w]
+            cycles.append(cycle)
+    return cycles
 
 
 @lru_cache(maxsize=2)  # see encode
 def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
     """Decode any isomorphic copy of a coded graph; raises MalformedCoding.
 
-    The hubs, elements and gadgets are read off g, one role per vertex, and
-    g is accepted exactly when these roles map it bijectively onto encode of
-    the decoded structure, edge set onto edge set: the coded shape is the one
-    encode writes. With sig the decoded structure uses its relation names
-    and must have one gadget per tuple per relation; without it, relation
-    names are synthesized as R<arity> (this requires pairwise distinct
-    arities, which is the only case shape inference can justify).
+    One pass over the edges gives each vertex its out-degree, successor and
+    in-neighbours, on integer arrays (a list only where the in-degree is 2
+    or more). The tag cycles are the cycles of v -> succ[v] on the vertices
+    of out-degree 1, and the hubs their entries. The elements are hub a's
+    spokes in vertex order, and each junction's chains are walked back
+    through in-degree-1 vertices to the element they start at. Each
+    vertex's image, its number in encode of the decoded structure, is
+    written by arithmetic on encode's numbering (_layout), and g is
+    accepted exactly when that image maps it bijectively onto the coding,
+    edge set onto edge set. That check is the only judge: the reading
+    before it only keeps the candidate well formed and the coding no
+    larger than g. It lets through graphs that are not codings (a fourth
+    cycle through a vertex of out-degree 2, say), and the check rejects
+    them, since a coding has exactly three cycles. A vertex's role is the
+    coding's provenance entry at its image (DecodeResult.roles). With sig
+    the decoded structure uses its relation names and must have one gadget
+    per tuple per relation; without it, relation names are synthesized as
+    R<arity> (this requires pairwise distinct arities, which is the only
+    case shape inference can justify).
     """
     if g.allow_loops and any(u == v for u, v in g.edges):
         raise MalformedCoding("self-loop present")
-    out, inn = adjacency(g)
-    roles: dict[int, Role] = {}
+    size = g.size
+    outdeg = [0] * size
+    succ = [0] * size  # the out-neighbour, where the out-degree is 1
+    pred = [-1] * size  # an in-neighbour
+    more: dict[int, list[int]] = {}  # the others, where the in-degree is 2 or more
+    for u, v in g.edges:
+        outdeg[u] += 1
+        succ[u] = v
+        if pred[v] < 0:
+            pred[v] = u
+        else:
+            more.setdefault(v, []).append(u)
 
-    def assign(v: int, role: Role) -> None:
-        if v in roles:
-            raise MalformedCoding(f"vertex {v} has roles {roles[v]} and {role}")
-        roles[v] = role
+    def inn(v: int) -> list[int]:
+        return [pred[v], *more.get(v, ())] if pred[v] >= 0 else []
 
+    cycles = _tag_cycles(size, outdeg, succ)
+    if len(cycles) != 3:
+        raise MalformedCoding(f"expected 3 cycles of out-degree-1 vertices, found {len(cycles)}")
+    image = [-1] * size
     hubs: dict[int, int] = {}
-    for tag, order in _find_cycles(g, out).items():
-        comp_set = set(order)
-        entries = [(u, v) for v in order for u in inn[v] if u not in comp_set]
+    for cycle in cycles:
+        tag = len(cycle)
+        if tag not in CYCLE_TAGS or tag in hubs:
+            raise MalformedCoding(f"unexpected cycle of length {tag}")
+        on_cycle = set(cycle)
+        entries = [(u, pos) for pos, v in enumerate(cycle) for u in inn(v) if u not in on_cycle]
         if len(entries) != 1:
             raise MalformedCoding(f"{tag}-cycle needs exactly one entry edge, found {len(entries)}")
-        hubs[tag], entry = entries[0]
-        shift = order.index(entry)
-        for pos, v in enumerate(order[shift:] + order[:shift]):
-            assign(v, ("cycle", tag, pos))
+        hubs[tag], shift = entries[0]
+        for pos, v in enumerate(cycle):
+            image[v] = CYCLE_START[tag] + (pos - shift) % tag
     a, b, c = hubs[3], hubs[5], hubs[7]
-    for hub, role in zip((a, b, c), HUB_ROLES):
-        assign(hub, role)
+    image[a], image[b], image[c] = 0, 1, 2
 
-    elements = sorted(v for v in out[a] if roles.get(v) != ("cycle", 3, 0))
+    elements = sorted(v for u, v in g.edges if u == a and image[v] != CYCLE_START[3])
     elem_index = {v: i for i, v in enumerate(elements)}
     for v, i in elem_index.items():
-        assign(v, ("elem", i))
+        image[v] = ELEM_BASE + i
 
     expected: dict[tuple[int, ...], tuple[str, int, int]] = {}
     if sig is not None:
         offsets = chain_offsets(sig)
         # no gadget has more chains than the graph has vertices
         expected = {interior_lengths(arity, offsets[name]): (name, arity, offsets[name])
-                    for name, arity in sig.relations if arity <= g.size}
+                    for name, arity in sig.relations if arity <= size}
 
-    positive = set(inn[b])
+    positive = set(inn(b))
     decided: dict[tuple[str, tuple[int, ...]], bool] = {}
+    # per gadget: relation, tuple, and its vertices in encode's order
+    gadgets: list[tuple[str, tuple[int, ...], list[int]]] = []
     observed_arities: set[int] = set()
-    for y in sorted(positive.union(inn[c])):
-        if not inn[y]:
+    for y in sorted(positive.union(inn(c))):
+        if pred[y] < 0:
             raise MalformedCoding(f"junction {y} has no chains")
         chains = []
-        for last in inn[y]:
+        for last in sorted(inn(y)):
             interior = [last]
             node = last
             while True:
-                preds = inn[node]
-                if len(preds) != 1:
-                    raise MalformedCoding(f"chain node {node} has in-degree {len(preds)}")
-                p = preds[0]
-                if p in elem_index:
-                    starter = p
+                if pred[node] < 0 or node in more:
+                    raise MalformedCoding(f"chain node {node} has in-degree {len(inn(node))}")
+                node = pred[node]
+                if node in elem_index:
                     break
-                if p in roles or len(out[p]) != 1 or len(interior) > g.size:
-                    raise MalformedCoding(f"bad chain predecessor {p}")
-                interior.append(p)
-                node = p
+                if outdeg[node] != 1 or len(interior) > size:
+                    raise MalformedCoding(f"bad chain predecessor {node}")
+                interior.append(node)
             # the walk checked every other interior node's out-degree
-            if len(out[last]) != 1:
+            if outdeg[last] != 1:
                 raise MalformedCoding("chain node with out-degree != 1")
-            chains.append((len(interior), starter, list(reversed(interior))))
+            chains.append((len(interior), node, interior))
         key = tuple(sorted(length for length, _, _ in chains))
         if sig is not None:
             if key not in expected:
@@ -246,46 +311,53 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
             name, offset = f"R{arity}", 0
             observed_arities.add(arity)
         # the profile's lengths are distinct, one per tuple position
-        by_length = {length: (starter, nodes) for length, starter, nodes in chains}
-        tup = tuple(
-            elem_index[by_length[offset + arity + k - 1][0]] for k in range(1, arity + 1)
-        )
+        by_length = {length: (starter, interior) for length, starter, interior in chains}
+        lengths = range(offset + arity, offset + 2 * arity)
+        tup = tuple(elem_index[by_length[length][0]] for length in lengths)
+        nodes = [y]
+        for length in lengths:
+            nodes.extend(reversed(by_length[length][1]))
         decided[(name, tup)] = y in positive
-        assign(y, ("junction", name, tup))
-        for k in range(1, arity + 1):
-            for pos, node in enumerate(by_length[offset + arity + k - 1][1], 1):
-                assign(node, ("chain", name, tup, k, pos))
+        gadgets.append((name, tup, nodes))
 
     if sig is None:
         sig = Signature(tuple((f"R{i}", i) for i in sorted(observed_arities)))
-    size = len(elements)
+    n = len(elements)
     # an empty universe has no tuples, however large the arities
-    for name, arity in sig.relations if size else ():
-        if arity > g.size:
+    for name, arity in sig.relations if n else ():
+        if arity > size:
             raise MalformedCoding(
                 f"relation {name} of arity {arity} needs gadgets of {arity} chains,"
-                f" more than the graph's {g.size} vertices")
-    # counted before encode is called, so that encode builds no more
+                f" more than the graph's {size} vertices")
+    # both counted before encode is called, so that encode builds no more
     # vertices than g has
-    if len(decided) != sum(size ** arity for _, arity in sig.relations):
-        raise MalformedCoding(f"{len(decided)} gadgets are not one per tuple over {size} elements")
-    if len(roles) != g.size:
-        unclassified = [v for v in range(g.size) if v not in roles]
+    if len(decided) != sum(n ** arity for _, arity in sig.relations):
+        raise MalformedCoding(f"{len(decided)} gadgets are not one per tuple over {n} elements")
+    bases, coded_count = _layout(sig, n)
+    if coded_count != size:
+        raise MalformedCoding(f"the coding of the decoded structure has {coded_count} vertices,"
+                              f" the graph {size}")
+    for name, tup, nodes in gadgets:
+        first, width = bases[name]
+        rank = 0  # tup's place in product order: its digits in base n
+        for x in tup:
+            rank = rank * n + x
+        for i, v in enumerate(nodes, first + rank * width):
+            image[v] = i
+    if -1 in image:
+        unclassified = [v for v in range(size) if image[v] == -1]
         raise MalformedCoding(f"unclassified vertices: {unclassified}")
 
     facts = frozenset(fk for fk, truth in decided.items() if truth)
-    structure = FinStructure(sig, size, facts)
+    structure = FinStructure(sig, n, facts)
     coded = encode(structure)
-    vertex_of = coded.vertex_of()
-    ordered = tuple(sorted(roles.items()))
-    image = tuple(vertex_of[role] for _, role in ordered)
     edges = coded.graph.edges
     # an injective image maps g's edges to distinct edges, so containment
     # and equal counts make the edge sets equal
-    if (coded.graph.size != g.size or len(set(image)) != g.size or len(g.edges) != len(edges)
+    if (coded.graph.size != size or len(set(image)) != size or len(g.edges) != len(edges)
             or not all((image[u], image[v]) in edges for u, v in g.edges)):
         raise MalformedCoding("roles do not map the graph onto the coding of its decoding")
-    return DecodeResult(structure, ordered, tuple(elements), image)
+    return DecodeResult(structure, tuple(elements), tuple(image), coded.provenance)
 
 
 def decode(g: DiGraph, sig: Optional[Signature] = None) -> FinStructure:

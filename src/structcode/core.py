@@ -204,23 +204,6 @@ def structure_of_graph(g: DiGraph) -> FinStructure:
     return FinStructure.of(GRAPH_SIG, g.size, (("E", e) for e in g.edges))
 
 
-def adjacency(g: DiGraph) -> tuple[list[list[int]], list[list[int]]]:
-    """(out, in) adjacency lists indexed by vertex, neighbor lists sorted.
-
-    Both are built in one pass over the edges.
-    """
-    out: list[list[int]] = [[] for _ in range(g.size)]
-    inn: list[list[int]] = [[] for _ in range(g.size)]
-    for u, v in g.edges:
-        out[u].append(v)
-        inn[v].append(u)
-    for lst in out:
-        lst.sort()
-    for lst in inn:
-        lst.sort()
-    return out, inn
-
-
 def _successors(size: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Sorted successor lists indexed by vertex, one for each of range(size)."""
     out: list[list[int]] = [[] for _ in range(size)]

@@ -62,6 +62,20 @@ def test_encode_provenance_sidecar(files, tmp_path):
     assert any("role=ChainNode R" in line for line in lines)
 
 
+def test_encode_budget_exits_2_before_writing(files, tmp_path, capsys, monkeypatch):
+    # sig R/3 over 3 elements codes as 18 + 3 + 27 * 13 = 372 vertices
+    sidecar = tmp_path / "roles.txt"
+    code, out = run_cli(["encode", "--structure", files["fig.st"], "--budget", "371",
+                         "--provenance", str(sidecar)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: encode needs 372 vertices, more than 371\n"
+    assert not sidecar.exists()
+    code, out = run_cli(["encode", "--structure", files["fig.st"], "--budget", "372"])
+    assert code == 0 and out == serialize_graph(coding.encode(parse_structure(FIG)).graph)
+    monkeypatch.setenv("STRUCTCODE_BUDGET", "371")
+    assert run_cli(["encode", "--structure", files["fig.st"]])[0] == 2
+
+
 def test_decode_malformed_exits_3(files, tmp_path):
     bad = tmp_path / "bad.g"
     bad.write_text("graph 3\ne 0 1\ne 1 2\ne 2 0\n")

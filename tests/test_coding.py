@@ -11,6 +11,7 @@ from structcode.coding import (
     MalformedCoding,
     canonical_iso,
     chain_offsets,
+    coded_size,
     decode,
     decode_full,
     encode,
@@ -22,6 +23,7 @@ from structcode.coding import (
     render_role,
 )
 from structcode.core import (
+    BudgetExhausted,
     DiGraph,
     FinStructure,
     Morphism,
@@ -392,6 +394,108 @@ def test_huge_arity_with_an_element_is_malformed_with_a_short_message():
         tracemalloc.stop()
     assert len(str(exc.value)) < 200
     assert peak < 10**6
+
+
+def _with_loop_into(s, role):
+    """encode(s).graph plus a 3-cycle of new vertices whose last vertex
+    also points at the vertex of role: every loop vertex has in-degree 1."""
+    enc = encode(s)
+    n = enc.graph.size
+    loop = [(n, n + 1), (n + 1, n + 2), (n + 2, n), (n + 2, enc.vertex_of()[role])]
+    return DiGraph.of(n + 3, set(enc.graph.edges) | set(loop))
+
+
+# graphs that a reading of the cycles as strongly connected components
+# stopped. The decoder reads the cycles of v -> succ[v] on out-degree-1
+# vertices instead: a chord or a join breaks a tag cycle, so the count of
+# those cycles stops the graph; the other three go on to the chain walk or
+# the final check
+CYCLE_FAULTS = {
+    "chord_on_tag_cycle": _rewired(TWO_UNARY, add=[(("cycle", 7, 0), ("cycle", 7, 3))]),
+    # a cycle elem0 -> chain -> junction -> elem0 through the junction,
+    # which then has out-degree 2
+    "fourth_cycle_through_out_degree_2": _rewired(TWO_UNARY, add=[(R0, ELEM0)]),
+    "cycle_through_hub_a": _rewired(TWO_UNARY, add=[(ELEM1, A)]),
+    "tag_cycles_joined": _rewired(
+        TWO_UNARY, add=[(("cycle", 3, 1), ("cycle", 5, 2)), (("cycle", 5, 3), ("cycle", 3, 2))]),
+    "in_degree_1_loop_feeds_junction": _with_loop_into(TWO_UNARY, R0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_FAULTS))
+def test_cycle_fault_is_malformed(name):
+    g = CYCLE_FAULTS[name]
+    for sig in (SIG_R1, None):
+        with pytest.raises(MalformedCoding):
+            decode_full(g, sig)
+
+
+def test_fourth_cycle_is_left_to_the_final_check():
+    g = CYCLE_FAULTS["fourth_cycle_through_out_degree_2"]
+    assert sorted(map(len, simple_cycles(g))) == [3, 3, 5, 7]
+    for sig in (SIG_R1, None):
+        with pytest.raises(MalformedCoding, match="roles do not map"):
+            decode_full(g, sig)
+
+
+def test_in_degree_1_loop_stops_the_chain_walk():
+    # the walk back from the loop's last vertex goes round the loop and
+    # stops at that vertex again, whose second out-edge it checks
+    g = CYCLE_FAULTS["in_degree_1_loop_feeds_junction"]
+    for sig in (SIG_R1, None):
+        with pytest.raises(MalformedCoding, match=f"bad chain predecessor {g.size - 1}"):
+            decode_full(g, sig)
+
+
+def test_decoding_builds_no_role_tuples():
+    rng = random.Random(47)
+    for _ in range(20):
+        s = corpus.random_structure(rng, max_size=3)
+        g, _ = corpus.random_permuted_graph(rng, encode(s).graph)
+        for sig in (s.sig, None):
+            decode_full.cache_clear()
+            res = decode_full(g, sig)
+            provenance = encode(res.structure).provenance
+            assert all(res.roles[v][0] == v
+                       and res.roles[v][1] is provenance[res.image[v]][1]
+                       for v in range(g.size))
+
+
+# ---------------------------------------------------------------------------
+# encode's closed-form vertex count and budget
+
+
+def test_coded_size_matches_encode():
+    rng = random.Random(53)
+    sigs = [None, Signature.of(("E", 2), ("F", 2)), Signature.of(("P", 1), ("Q", 1), ("E", 2))]
+    for i in range(60):
+        s = corpus.random_structure(rng, max_size=4, sig=sigs[i % 3])
+        assert coded_size(s.sig, s.size) == encode(s).graph.size
+        assert encode(s, budget=encode(s).graph.size) == encode(s)
+
+
+def test_encode_budget_is_checked_before_allocating():
+    # 351,048 vertices, about 190 MB unbudgeted
+    s = FinStructure.of(SIG_R3, 30)
+    encode.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted, match="encode needs 351048 vertices") as exc:
+            encode(s, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.used, exc.value.budget) == (351048, 1000)
+    assert peak < 10**5
+
+
+def test_encode_budget_forms_no_huge_power():
+    # 2^(10^9) alone would take 125 MB
+    s = FinStructure.of(Signature.of(("R", 10**9)), 2)
+    with pytest.raises(BudgetExhausted, match="more than 1000 vertices") as exc:
+        encode(s, budget=1000)
+    assert exc.value.used is None and exc.value.budget == 1000
+    assert coded_size(Signature.of(("R", 10**9)), 0) == 18
 
 
 # ---------------------------------------------------------------------------
