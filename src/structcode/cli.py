@@ -225,8 +225,8 @@ def cmd_shelah(args) -> int:
         h = shelah.reduct_iso(args.m)
         print(h(shelah.SElem.parse(args.elem)))
     elif action == "game":
-        ok = efgames.verify_reduct_strategy(args.m, args.rounds,
-                                            nu_bound=args.nu_bound, log2_size=args.log2_size)
+        ok = efgames.verify_reduct_strategy(args.m, args.rounds, nu_bound=args.nu_bound,
+                                            log2_size=args.log2_size, budget=args.budget)
         print(f"strategy_wins={'yes' if ok else 'no'}")
         return 0 if ok else 1
     return 0
@@ -407,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=_count, default=2)
     p.add_argument("--nu-bound", type=_count, default=None)
     p.add_argument("--log2-size", type=_count, default=3)
+    p.add_argument("--budget", type=_count, default=budget,
+                   help="game: budget in pebble sets (and elements), checked before building")
     p.set_defaults(fn=cmd_shelah)
 
     p = sub.add_parser("limit-demo", help="stage-wise limit construction demo")

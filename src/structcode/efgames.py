@@ -254,7 +254,8 @@ def _rank_type(s: FinStructure, n: int, tup: tuple[int, ...] = ()) -> tuple:
 
 
 def verify_duplicator_strategy(leftR: FinStructure, rightR: FinStructure,
-                               strategy: Sequence[int], n: int) -> bool:
+                               strategy: Sequence[int], n: int,
+                               budget: Optional[int] = None) -> bool:
     """Check a positional Duplicator strategy against every Spoiler line.
 
     strategy[i] is Duplicator's answer (a rightR index) when Spoiler plays
@@ -263,27 +264,60 @@ def verify_duplicator_strategy(leftR: FinStructure, rightR: FinStructure,
     pebbled, and every set of at most n pairs is some line's, so the
     strategy wins n rounds iff each set of min(n, size) pairs is a partial
     isomorphism. ValueError unless strategy is a bijection between equal
-    universes.
+    universes; BudgetExhausted, before any set is checked, when there are
+    more than budget such sets.
     """
     if leftR.size != rightR.size or sorted(strategy) != list(range(rightR.size)):
         raise ValueError("strategy must be a bijection between equal universes")
+    _check_pebble_sets(leftR.size, n, budget)
     pairs = list(enumerate(strategy))
     # a subset of pebbles checks a subset of the atoms, so the largest sets suffice
     return all(_pebbles_partial_iso(leftR, rightR, p)
                for p in combinations(pairs, min(n, len(pairs))))
 
 
+def _check_pebble_sets(size: int, n: int, budget: Optional[int]) -> None:
+    """BudgetExhausted when C(size, min(n, size)) is over budget.
+
+    C(size, i) grows with i up to size / 2, so the product runs to the
+    nearer of r and size - r and stops at the first partial count over the
+    budget, which it reports as used; no larger number is formed.
+    """
+    if budget is None:
+        return
+    r = min(n, size)
+    sets, i = 1, 0
+    while sets <= budget and i < min(r, size - r):
+        sets = sets * (size - i) // (i + 1)  # C(size, i + 1), exactly
+        i += 1
+    if sets > budget:
+        raise BudgetExhausted(f"strategy check needs more than {budget} pebble sets",
+                              used=sets, budget=budget)
+
+
 def verify_reduct_strategy(m: int, n: int, nu_bound: Optional[int] = None,
-                           log2_size: int = 3) -> bool:
+                           log2_size: int = 3, budget: Optional[int] = None) -> bool:
     """Verify the flip-above-m translation strategy on matched reduct restrictions.
 
     Builds the paired restrictions from the shelah module (left universe the
     closure of the all-zeros string, right its flip image in the same order)
-    and checks the identity index strategy for n rounds.
+    and checks the identity index strategy for n rounds. With a budget,
+    raises BudgetExhausted before building them when the 2^log2_size
+    elements or the pebble sets (see verify_duplicator_strategy) are over it.
     """
     from .shelah import paired_reduct_restrictions
 
+    if budget is not None:
+        # past budget's bit length, 2^log2_size alone is over it, so it is not formed
+        if log2_size > budget.bit_length():
+            raise BudgetExhausted(f"strategy check needs more than {budget} elements",
+                                  budget=budget)
+        size = 1 << log2_size
+        if size > budget:
+            raise BudgetExhausted(f"strategy check needs {size} elements, more than {budget}",
+                                  used=size, budget=budget)
+        _check_pebble_sets(size, n, budget)
     if nu_bound is None:
         nu_bound = m
     left, right, strategy = paired_reduct_restrictions(m, nu_bound, log2_size)
-    return verify_duplicator_strategy(left, right, strategy, n)
+    return verify_duplicator_strategy(left, right, strategy, n, budget=budget)

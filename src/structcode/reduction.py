@@ -11,6 +11,7 @@ hunting for a generator trace inside each block.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Iterator, Optional
 
 from .core import (
@@ -108,10 +109,12 @@ def build_f(edge_oracle: EdgeOracle) -> AtomOracle:
     Element handles are the natural numbers themselves. The decider is pure
     given a pure edge oracle; it decomposes only the arguments it needs, and
     stays independent of the lister so that tests and the brute-force
-    restrict can check one against the other. The fact lister decomposes
-    each handle once, reads W, N and O off the vertex markers and blocks it
-    finds, and builds block elements only for the tag relations, which
-    shelah.tag_facts lists block by block.
+    restrict can check one against the other. The fact lister unpairs each
+    handle once, into (part, k), and each block's part - 1 once per block,
+    without decompose. It reads W, N and O off the vertex markers and
+    blocks it finds, blocks in order of first appearance and members in
+    handle order, and builds block elements only for the tag relations,
+    which shelah.tag_facts lists block by block.
     """
 
     def holds(name: str, tup: tuple) -> bool:
@@ -146,24 +149,24 @@ def build_f(edge_oracle: EdgeOracle) -> AtomOracle:
 
     def facts(handles: list, rels: list[tuple[str, int]]) -> Iterator[Fact]:
         vertices: dict[int, int] = {}
-        blocks: dict[tuple[int, int], dict[int, int]] = {}  # (m, n) -> {k: position}
+        parts: dict[int, dict[int, int]] = {}  # part -> {k: position}
         for i, code in enumerate(handles):
-            d = decompose(code)
-            if d[0] == "vertex":
-                vertices[d[1]] = i
+            part, k = cantor_unpair(code)
+            if part == 0:
+                vertices[k] = i
             else:
-                _, m, n, k = d
-                blocks.setdefault((m, n), {})[k] = i
+                parts.setdefault(part, {})[k] = i
+        blocks = [(cantor_unpair(part - 1), members) for part, members in parts.items()]
         tag_rels = []
         for name, arity in rels:
             if name == "W":
                 yield from ((name, (i,)) for i in vertices.values())
             elif name == "N":
-                for (m, _), members in blocks.items():
+                for (m, _), members in blocks:
                     if m in vertices:
                         yield from ((name, (vertices[m], i)) for i in members.values())
             elif name == "O":
-                for (m, n), members in blocks.items():
+                for (m, n), members in blocks:
                     if m in vertices and n in vertices:
                         yield from ((name, (vertices[m], vertices[n], i)) for i in members.values())
             else:
@@ -172,7 +175,7 @@ def build_f(edge_oracle: EdgeOracle) -> AtomOracle:
             yield from shelah.tag_facts(
                 (
                     {_block_elem(edge_oracle, m, n, k): i for k, i in members.items()}
-                    for (m, n), members in blocks.items()
+                    for (m, n), members in blocks
                 ),
                 tag_rels,
             )
@@ -366,10 +369,14 @@ def decode_f(
 def _decode_listed(oracle: AtomOracle, k: int, nu_bound: int, budget: int, limit: int) -> DiGraph:
     """decode_f on an oracle with a fact lister: one listing of W and O.
 
-    The vertex markers are the first k W points. Each point that is not a
-    W point and has O facts with undecided marker pairs is inspected for
-    the least of those pairs, as the decider loop does, and its trace is
-    listed rather than asked relation by relation.
+    The vertex markers are the first k W points. Each marker pair collects
+    the sorted points, not W points, that carry its O fact, and the pairs
+    are walked on a heap keyed by (next point, pair). So points come in
+    index order, each is inspected once, for the least of its undecided
+    pairs, as in the decider loop, and the walk costs one heap step per
+    pair and point inspected or passed over, not one per scanned point. An
+    inspected point's trace is listed rather than asked relation by
+    relation.
     """
     handles = [oracle.element(i) for i in range(limit)]
     w_points: set[int] = set()
@@ -385,31 +392,35 @@ def _decode_listed(oracle: AtomOracle, k: int, nu_bound: int, budget: int, limit
             [(m, n) for m in range(k) for n in range(k)], DiGraph.of(0)
         )
     vertex = {idx: m for m, idx in enumerate(markers)}
-    pairs_at: dict[int, list[tuple[int, int]]] = {}
+    points_of: dict[tuple[int, int], list[int]] = {}
     for x, y, j in o_facts:
         if x in vertex and y in vertex and j not in w_points:
-            pairs_at.setdefault(j, []).append((vertex[x], vertex[y]))
+            points_of.setdefault((vertex[x], vertex[y]), []).append(j)
 
-    nu_of = {shelah.rel_name("R", nu): nu for nu in all_strings(nu_bound)}
+    nu_of ={shelah.rel_name("R", nu): nu for nu in all_strings(nu_bound)}
     r_rels = [(name, 1) for name in nu_of]
-    undecided = {(m, n) for m in range(k) for n in range(k)}
+    walks = {pair: iter(sorted(points)) for pair, points in points_of.items()}
+    heap = [(next(walk), pair) for pair, walk in walks.items()] if budget > 0 else []
+    heapq.heapify(heap)
+
+    def advance(pair: tuple[int, int]) -> None:
+        j = next(walks[pair], None)
+        if j is not None:
+            heapq.heappush(heap, (j, pair))
+
     decided: dict[tuple[int, int], str] = {}
     inspected: dict[tuple[int, int], int] = {}
-    for j in sorted(pairs_at) if budget > 0 else ():
-        if not undecided:
-            break
-        live = [pair for pair in pairs_at[j] if pair in undecided]
-        if not live:
-            continue
-        pair = min(live)
+    while heap:
+        j, pair = heapq.heappop(heap)
         inspected[pair] = inspected.get(pair, 0) + 1
         trace = {nu_of[name] for name, _ in oracle.facts([handles[j]], r_rels)}
         tag = _judge_trace(trace, nu_bound, handles[j])
         if tag is not None:
             decided[pair] = tag
-            undecided.remove(pair)
-        elif inspected[pair] >= budget:
-            undecided.remove(pair)  # inspections spent, stays Unknown
+        elif inspected[pair] < budget:  # else its inspections are spent: Unknown
+            advance(pair)
+        while heap and heap[0][0] == j:  # the other pairs at j pass it over
+            advance(heapq.heappop(heap)[1])
     return _decoded(k, decided)
 
 

@@ -272,6 +272,18 @@ def test_shelah_game_many_rounds():
     assert code == 0 and out == "strategy_wins=yes\n"
 
 
+def test_shelah_game_budget_exits_2_at_once(capsys, monkeypatch):
+    # C(32, 16) = 601,080,390 pebble sets, over the default budget of 10^7;
+    # unbudgeted, 4 rounds already took seconds and each round about 5x more
+    code, out = run_cli(["shelah", "game", "--log2-size", "5", "--rounds", "16"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: strategy check needs more than 10000000 pebble sets\n"
+    code, out = run_cli(["shelah", "game", "--rounds", "4", "--budget", "70"])
+    assert (code, out) == (0, "strategy_wins=yes\n")
+    monkeypatch.setenv("STRUCTCODE_BUDGET", "69")
+    assert run_cli(["shelah", "game", "--rounds", "4"]) == (2, "")
+
+
 def test_limit_demo():
     code, out = run_cli(["limit-demo", "--pattern", "110", "--stages", "3"])
     assert code == 0

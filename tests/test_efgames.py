@@ -537,6 +537,46 @@ def test_strategy_plays_each_pair_once_per_position(monkeypatch):
     assert calls == 56
 
 
+def _raises(*args):
+    raise AssertionError("a pebble set was checked")
+
+
+def test_strategy_budget_counts_pebble_sets(monkeypatch):
+    # 8 elements at 4 rounds check C(8, 4) = 70 sets; an over-budget check
+    # raises before it checks any
+    from structcode import efgames
+
+    assert verify_reduct_strategy(2, 4, budget=70)
+    with pytest.raises(BudgetExhausted, match="more than 69 pebble sets") as exc:
+        verify_reduct_strategy(2, 4, budget=69)
+    assert (exc.value.used, exc.value.budget) == (70, 69)
+    monkeypatch.setattr(efgames, "_pebbles_partial_iso", _raises)
+    left, right, strategy = paired_reduct_restrictions(2, 2, 3)
+    with pytest.raises(BudgetExhausted) as exc:
+        verify_duplicator_strategy(left, right, strategy, 5, budget=55)
+    assert exc.value.used == 56  # C(8, 5) = C(8, 3), counted to the nearer end
+    with pytest.raises(BudgetExhausted, match="needs 8 elements, more than 7"):
+        verify_reduct_strategy(2, 0, budget=7)
+
+
+def test_strategy_budget_is_checked_before_building():
+    # 1,024 elements at 3 rounds: C(1024, 3) = 178,433,024 sets, and
+    # building the two restrictions alone peaks at about 4 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted, match="more than 1000000 pebble sets") as exc:
+            verify_reduct_strategy(2, 3, log2_size=10, budget=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.used > exc.value.budget == 10**6
+    assert peak < 10**5
+    # 2^(10^9) alone would take 125 MB
+    with pytest.raises(BudgetExhausted, match="more than 1000 elements") as exc:
+        verify_reduct_strategy(2, 3, log2_size=10**9, budget=1000)
+    assert exc.value.used is None and exc.value.budget == 1000
+
+
 def _walk_lines(left, right, strategy, n):
     """Reference verifier: play every Spoiler line of n left moves, checking
     the pebble position after each round."""

@@ -13,6 +13,7 @@ from structcode.core import (
     Morphism,
     Signature,
     all_strings,
+    cantor_unpair,
     oracle_of_structure,
     restrict,
 )
@@ -345,7 +346,9 @@ def _sweeping_lister(holds):
 def test_listed_facts_match_decider_on_arbitrary_handles(seed):
     # restrict hands the lister the contiguous codes 0..n-1; any distinct
     # handles are allowed: whole blocks, vertex markers and stray codes,
-    # in any order
+    # in any order. Large codes pin the unpairing at its boundaries: the
+    # triangular number w(w+1)/2 is block w's generator and the code below
+    # it vertex w - 1's marker.
     rng = random.Random(seed)
     g = corpus.random_graph(rng, max_size=4)
     handles = {vertex_code(rng.randrange(6)) for _ in range(4)}
@@ -353,6 +356,12 @@ def test_listed_facts_match_decider_on_arbitrary_handles(seed):
         m, n = rng.randrange(5), rng.randrange(5)
         handles.update(block_code(m, n, k) for k in range(8))
     handles.update(rng.randrange(3000) for _ in range(12))
+    for w in (2**40, rng.randrange(2, 2**40), rng.randrange(2, 2**20)):
+        handles.update((w * (w + 1) // 2, w * (w + 1) // 2 - 1))
+    handles.update(rng.randrange(10**12) for _ in range(4))
+    m, n = cantor_unpair(rng.randrange(10**12))
+    big = [vertex_code(m), vertex_code(n), block_code(m, n, 0), block_code(m, n, 5)]
+    handles.update(big)
     handles = sorted(handles)
     rng.shuffle(handles)
     oracle = build_f_graph(g)
@@ -360,6 +369,7 @@ def test_listed_facts_match_decider_on_arbitrary_handles(seed):
     listed = set(oracle.facts(handles, rels))
     assert listed == set(_sweeping_lister(oracle.holds)(handles, rels))
     assert {name for name, _ in listed} >= {"W", "R_", "gF_0"}
+    assert ("O", tuple(handles.index(code) for code in big[:3])) in listed
 
 
 def test_golden_decider_decompose_count(monkeypatch):
@@ -423,6 +433,16 @@ def test_listed_decode_signals_contradiction():
     assert _decode_outcome(listing, 2) == _decode_outcome(oracle, 2)
 
 
+def _decode_input(size, markers, o_facts, traces) -> FinStructure:
+    """A decode input at nu_bound 1: W on the markers, O(x, y, j) for each
+    (x, y) in o_facts[j], and R_nu(j) for each nu in traces[j]."""
+    sig = Signature.of(("W", 1), ("O", 3), ("R_", 1), ("R_0", 1), ("R_1", 1))
+    facts = [("W", (x,)) for x in markers]
+    facts += [("O", (x, y, j)) for j, pairs in o_facts.items() for x, y in pairs]
+    facts += [(f"R_{nu}", (j,)) for j, trace in traces.items() for nu in trace]
+    return FinStructure.of(sig, size, facts)
+
+
 def _pair_rule_structure() -> FinStructure:
     """A non-conforming decode input on 9 points, traces at nu_bound 1.
 
@@ -431,15 +451,26 @@ def _pair_rule_structure() -> FinStructure:
     S1 trace of its own, and point 8 both generator traces under the pair
     (a2, a2).
     """
-    sig = Signature.of(("W", 1), ("O", 3), ("R_", 1), ("R_0", 1), ("R_1", 1))
-    facts = [("W", (x,)) for x in (1, 2, 4)]
     o_facts = {0: [(1, 2), (2, 1), (1, 1)], 3: [(1, 2), (2, 1)], 4: [(1, 2)],
                5: [(1, 2), (2, 1)], 6: [(2, 1), (2, 2)], 7: [(2, 2)], 8: [(4, 4)]}
-    facts += [("O", (x, y, j)) for j, pairs in o_facts.items() for x, y in pairs]
     traces = {0: "0", 3: "", 4: "1", 5: "0", 6: "1", 7: "1", 8: "01"}
-    for j, bits in traces.items():
-        facts += [("R_", (j,))] + [(f"R_{b}", (j,)) for b in bits]
-    return FinStructure.of(sig, 9, facts)
+    return _decode_input(9, (1, 2, 4), o_facts, {j: ["", *bits] for j, bits in traces.items()})
+
+
+# traces at nu_bound 1: S0, S1, four indecisive ones and two contradictory
+_TRACES = [("", "0"), ("", "1")] * 4 + [(), ("",), ("0",), ("1",), ("0", "1"), ("", "0", "1")]
+
+
+def _random_decode_input(rng) -> FinStructure:
+    """A random non-conforming decode input on 8-14 points, traces at
+    nu_bound 1: every point, W points too, may have O facts with several
+    pairs, mostly of W points, and any subset of {"", "0", "1"} as trace."""
+    size = rng.randint(8, 14)
+    markers = rng.sample(range(size), rng.randint(2, 4))
+    ends = markers * 3 + [rng.randrange(size)]
+    o_facts = {j: [(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randint(0, 4))]
+               for j in range(size)}
+    return _decode_input(size, markers, o_facts, {j: rng.choice(_TRACES) for j in range(size)})
 
 
 @pytest.mark.parametrize("k, budget, expected", [
@@ -456,6 +487,24 @@ def test_decode_pair_assignment_rule(k, budget, expected):
     listing = dataclasses.replace(oracle, facts=_sweeping_lister(oracle.holds))
     assert _decode_outcome(oracle, k, nu_bound=1, budget=budget) == expected
     assert _decode_outcome(listing, k, nu_bound=1, budget=budget) == expected
+
+
+def test_pair_walk_matches_decider_loop_on_random_inputs():
+    # the listed decode walks marker pairs on a heap; the decider loop,
+    # the reference, scans point by point
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(400):
+        s = _random_decode_input(rng)
+        oracle = oracle_of_structure(s)
+        listing = dataclasses.replace(oracle, facts=_sweeping_lister(oracle.holds))
+        k = rng.randint(1, 3)
+        kwargs = dict(nu_bound=1, budget=rng.randint(0, 3),
+                      scan_cap=rng.randint(s.size // 2, s.size + 2))
+        expected = _decode_outcome(oracle, k, **kwargs)
+        assert _decode_outcome(listing, k, **kwargs) == expected
+        outcomes.add(expected[0] if isinstance(expected, tuple) else "graph")
+    assert outcomes == {"graph", "incomplete", "contradiction"}
 
 
 def _raises(*args):
