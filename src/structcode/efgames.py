@@ -20,7 +20,7 @@ from itertools import combinations, product, repeat
 from typing import Optional, Sequence
 
 from .core import BudgetExhausted, DEFAULT_BUDGET, FinStructure, atoms
-from .search import Structish, _as_structure, _incidence, _joint_colors
+from .search import Structish, _as_structure, _joint_colors, _union_rows
 
 DUPLICATOR = "Duplicator"
 SPOILER = "Spoiler"
@@ -221,8 +221,8 @@ def equiv_n(left: Structish, right: Structish, n: int,
     """
     ls, rs = _as_structure(left), _as_structure(right)
     assert n >= 0
-    lcol, rcol, _ = _joint_colors(_incidence(ls), _incidence(rs))
-    solver = GameSolver(ls, rs, budget, colors=(lcol, rcol))
+    color, _ = _joint_colors(_union_rows(ls, rs), ls.size)
+    solver = GameSolver(ls, rs, budget, colors=(color[:ls.size], color[ls.size:]))
     try:
         return solver.duplicator_wins((), min(n, len(solver.moves)))
     except BudgetExhausted as err:

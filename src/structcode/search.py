@@ -12,17 +12,21 @@ with "not isomorphic" at the first round whose colour histograms differ
 between the sides; otherwise each element may only map to elements of its
 own colour. Embedding search prunes by occurrence counts alone.
 
-Each search reads each structure's facts once, into a per-element index
-(_incidence). The consistency check, the search order, the embedding
-candidates and the colour refinement all read that index. Both structures
-must share a signature; a mismatch raises ValueError before any size or
-fact-count shortcut answers.
+Each search, and efgames.equiv_n, reads the facts of both structures once,
+into per-element rows of their disjoint union (_union_rows: the source's
+element x is x, the target's element t is source.size + t). The colour
+refinement, the consistency check, the search order and the candidate
+buckets all read those rows. _refine takes a colouring that is stable
+except around a worklist of elements, so a caller can split one class of
+a stable colouring and refine from that split alone.
+Both structures must share a signature; a mismatch raises ValueError
+before any size or fact-count shortcut answers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from heapq import merge
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -48,76 +52,88 @@ def _as_structure(x: Structish) -> FinStructure:
 
 # one element's facts: (relation, positions of the element, tuple) for each
 # fact that contains it
-Incidence = list[tuple[str, tuple[int, ...], tuple[int, ...]]]
+Row = list[tuple[str, tuple[int, ...], tuple[int, ...]]]
 
 
-def _incidence(s: FinStructure) -> list[Incidence]:
-    """The fact index of a search, read once per structure: inc[x] is x's Incidence."""
-    inc: list[Incidence] = [[] for _ in range(s.size)]
-    for name, tup in s.facts:
-        if len(set(tup)) == len(tup):
-            for p, x in enumerate(tup):
-                inc[x].append((name, (p,), tup))
-        else:
-            for x in set(tup):
-                inc[x].append((name, tuple(p for p, e in enumerate(tup) if e == x), tup))
-    return inc
+def _union_rows(a: FinStructure, b: FinStructure) -> list[Row]:
+    """The fact index of a search: every fact of a and b read once into rows
+    of their disjoint union, where b's element x is element a.size + x."""
+    n = a.size
+    rows: list[Row] = [[] for _ in range(n + b.size)]
+    for shift, facts in ((0, a.facts), (n, b.facts)):
+        for name, tup in facts:
+            if shift:
+                tup = tuple([e + shift for e in tup])
+            if len(set(tup)) == len(tup):
+                for p, x in enumerate(tup):
+                    rows[x].append((name, (p,), tup))
+            else:
+                for x in set(tup):
+                    rows[x].append((name, tuple(p for p, e in enumerate(tup) if e == x), tup))
+    return rows
 
 
-def _profile(facts: Incidence) -> tuple[tuple[str, int], ...]:
+def _profile(row: Row) -> tuple[tuple[str, int], ...]:
     """The (relation, position) pairs the element occupies, sorted: how often
     it sits at each."""
-    return tuple(sorted([(name, p) for name, positions, _ in facts for p in positions]))
+    return tuple(sorted([(name, p) for name, positions, _ in row for p in positions]))
 
 
-def _joint_colors(inc_a: list[Incidence], inc_b: list[Incidence],
-                  ) -> tuple[list[int], list[int], bool]:
-    """Stable colour refinement of the disjoint union a + b, from their incidence lists.
+def _refine(rows: list[Row], color: list[int], n: int, changed: Iterable[int]) -> bool:
+    """Refine color, a colouring of the union a + b (elements below n are
+    a's), in place to a stable partition, and return whether it is balanced.
+    changed is the worklist: every element whose colour changed since color
+    was last stable, or every element for a colouring never refined, as
+    _joint_colors passes.
 
-    Returns (colors_a, colors_b, balanced). Colours are ids shared by both
-    sides, so an isomorphism maps each element to one of the same colour;
-    the initial colour of an element is its _profile. Before each round the
-    two halves' colour histograms are compared; balanced=False means they
-    differed (so a and b are not isomorphic) and the colours are those of
-    the round that showed it. Otherwise the refinement runs until no class
-    splits. A round re-keys only the elements that share a fact with an
-    element whose colour changed in the previous round (Paige & Tarjan
-    1987; Berkholz, Bonsma & Grohe 2013); the others' surroundings are
-    unchanged, so they keep their colour.
+    Before each round the two halves' colour histograms are compared;
+    False means they differed (so a and b are not isomorphic), and color is
+    left as the round that showed it. Otherwise the refinement runs until
+    no class splits. A round re-keys only the elements that share a fact
+    with an element in changed, which starts as the caller's worklist and
+    is then the elements whose colour changed in the previous round (Paige
+    & Tarjan 1987; Berkholz, Bonsma & Grohe 2013); the others' surroundings
+    are unchanged, so they keep their colour.
 
-    Element x of b is element n + x of the union, n = len(inc_a); the
-    union's incidence is built once, with b's tuples shifted by n. The
-    histogram check is kept running: per class, its members in a minus its
-    members in b, and the number of classes where that is not zero; both
-    change only when a group of elements moves to a fresh class.
+    An element's key is its colour and the sorted (relation, positions,
+    colours of the tuple) of each of its facts. The histogram check is kept
+    running: per class, its members in a minus its members in b, and the
+    number of classes where that is not zero; both change only when a group
+    of elements moves to a fresh class.
     """
-    n = len(inc_a)
-    incident = inc_a + [[(name, pos, tuple([e + n for e in tup])) for name, pos, tup in f]
-                        for f in inc_b]
-    ids: dict[tuple, int] = {}
-    color = [ids.setdefault(_profile(f), len(ids)) for f in incident]
-    size = [0] * len(ids)
-    surplus = [0] * len(ids)  # per class: members in a minus members in b
+    size = [0] * (max(color, default=-1) + 1)
+    surplus = size[:]  # per class: members in a minus members in b
     for x, c in enumerate(color):
         size[c] += 1
         surplus[c] += 1 if x < n else -1
     unbalanced = len(surplus) - surplus.count(0)
-    changed = range(len(color))
     get = color.__getitem__
     while unbalanced == 0:
-        rekey = sorted({e for y in changed for _, _, tup in incident[y] for e in tup})
+        rekey = sorted({e for y in changed for _, _, tup in rows[y] for e in tup})
         if not rekey:
-            return color[:n], color[n:], True
-        groups: dict[int, dict[tuple, list[int]]] = {}
+            return True
+        groups: defaultdict[tuple, list[int]] = defaultdict(list)
         for x in rekey:
-            env = tuple(sorted([(name, pos, tuple(map(get, tup)))
-                                for name, pos, tup in incident[x]]))
-            groups.setdefault(color[x], {}).setdefault(env, []).append(x)
+            # one- and two-fact elements, nearly all of a coding's vertices,
+            # are keyed without a sorted call
+            row = rows[x]
+            if len(row) == 1:
+                (name, pos, tup), = row
+                key = (color[x], (name, pos, *map(get, tup)))
+            elif len(row) == 2:
+                (name, pos, tup), (name2, pos2, tup2) = row
+                f, g = (name, pos, *map(get, tup)), (name2, pos2, *map(get, tup2))
+                key = (color[x], f, g) if f <= g else (color[x], g, f)
+            else:
+                key = (color[x], *sorted([(name, pos, *map(get, tup)) for name, pos, tup in row]))
+            groups[key].append(x)
+        by_class: defaultdict[int, list[list[int]]] = defaultdict(list)
+        for key, group in groups.items():
+            by_class[key[0]].append(group)
         changed = []
-        for c, by_env in groups.items():
+        for c, moving in by_class.items():
             # Members not re-keyed keep the class id, or else the largest
             # group does (Hopcroft 1971); every other group gets a fresh id.
-            moving = list(by_env.values())
             if sum(map(len, moving)) == size[c]:
                 moving.remove(max(moving, key=len))
             for group in moving:
@@ -133,11 +149,30 @@ def _joint_colors(inc_a: list[Incidence], inc_b: list[Incidence],
                 for x in group:
                     color[x] = fresh
                 changed.extend(group)
-    return color[:n], color[n:], False
+    return False
+
+
+def _joint_colors(rows: list[Row], n: int) -> tuple[list[int], bool]:
+    """Stable colour refinement of the union a + b from the rows of
+    _union_rows(a, b), n = a.size: (colours, balanced).
+
+    Colours are ids shared by both sides, so an isomorphism maps each
+    element to one of the same colour; the initial colour of an element is
+    its _profile, and _refine takes it from there with every element in its
+    worklist.
+    """
+    ids: dict[tuple, int] = {}
+    color = [ids.setdefault(_profile(row), len(ids)) for row in rows]
+    return color, _refine(rows, color, n, range(len(color)))
 
 
 class _Searcher:
-    """One source/target search: embeddings() walks it, counting nodes against budget."""
+    """One source/target search: embeddings() walks it, counting nodes against budget.
+
+    Target element t is element n + t of the union rows, n = source.size;
+    candidates are union numbers, fwd maps source elements to target
+    elements and bwd maps union numbers back to source elements.
+    """
 
     def __init__(self, source: FinStructure, target: FinStructure, budget: int,
                  order_by_constraint: bool, iso: bool):
@@ -145,21 +180,18 @@ class _Searcher:
         self.target = target
         self.budget = budget
         self.nodes = 0
-        self.src_inc = _incidence(source)
-        self.dst_inc = _incidence(target)
+        self.n = n = source.size
+        self.rows = rows = _union_rows(source, target)
         if order_by_constraint:
-            self.order = sorted(
-                range(source.size),
-                key=lambda i: (-sum(len(pos) for _, pos, _ in self.src_inc[i]), i),
-            )
+            self.order = sorted(range(n), key=lambda i: (-sum(len(pos) for _, pos, _ in rows[i]), i))
         else:
-            self.order = list(range(source.size))
+            self.order = list(range(n))
         if iso:
-            src_color, dst_color, self.feasible = _joint_colors(self.src_inc, self.dst_inc)
+            color, self.feasible = _joint_colors(rows, n)
             bucket: dict[int, list[int]] = {}
-            for t, c in enumerate(dst_color):
-                bucket.setdefault(c, []).append(t)
-            self.candidates = [bucket.get(c, []) for c in src_color].__getitem__
+            for u in range(n, len(rows)):
+                bucket.setdefault(color[u], []).append(u)
+            self.candidates = [bucket.get(c, []) for c in color[:n]].__getitem__
         else:
             self.feasible = True
             # Target elements bucketed by occurrence profile: t is a candidate
@@ -167,10 +199,10 @@ class _Searcher:
             # order, merge the buckets that dominate x's profile. Nothing of
             # size source.size * target.size is built up front.
             buckets: dict[tuple, list[int]] = {}
-            for t, f in enumerate(self.dst_inc):
-                buckets.setdefault(_profile(f), []).append(t)
-            self.buckets = [(Counter(p), ts) for p, ts in buckets.items()]
-            self.src_profile = [_profile(f) for f in self.src_inc]
+            for u in range(n, len(rows)):
+                buckets.setdefault(_profile(rows[u]), []).append(u)
+            self.buckets = [(Counter(p), us) for p, us in buckets.items()]
+            self.src_profile = [_profile(row) for row in rows[:n]]
             self.dominating: dict[tuple, list[list[int]]] = {}
             self.candidates = self._dominating
 
@@ -181,26 +213,26 @@ class _Searcher:
         lists = self.dominating.get(profile)
         if lists is None:
             occ = Counter(profile)
-            lists = self.dominating[profile] = [ts for dst, ts in self.buckets
+            lists = self.dominating[profile] = [us for dst, us in self.buckets
                                                 if not (occ - dst)]
         return lists[0] if len(lists) == 1 else merge(*lists)
 
-    def _consistent(self, fwd: dict[int, int], bwd: dict[int, int], x: int, t: int) -> bool:
-        fwd[x] = t
-        bwd[t] = x
+    def _consistent(self, fwd: dict[int, int], bwd: dict[int, int], x: int, u: int) -> bool:
+        fwd[x] = u - self.n
+        bwd[u] = x
         try:
-            for name, _, tup in self.src_inc[x]:
+            for name, _, tup in self.rows[x]:
                 if all(e in fwd for e in tup):
                     if not self.target.holds(name, tuple(fwd[e] for e in tup)):
                         return False
-            for name, _, tup in self.dst_inc[t]:
+            for name, _, tup in self.rows[u]:
                 if all(e in bwd for e in tup):
                     if not self.source.holds(name, tuple(bwd[e] for e in tup)):
                         return False
             return True
         finally:
             del fwd[x]
-            del bwd[t]
+            del bwd[u]
 
     def embeddings(self) -> Iterator[Morphism]:
         """Yield each embedding at its leaf, depth-first over self.order with
@@ -227,12 +259,12 @@ class _Searcher:
             while stack:
                 x = self.order[len(stack) - 1]
                 if x in fwd:
-                    del bwd[fwd.pop(x)]
-                t = next((t for t in stack[-1]
-                          if t not in bwd and self._consistent(fwd, bwd, x, t)), None)
-                if t is not None:
-                    fwd[x] = t
-                    bwd[t] = x
+                    del bwd[fwd.pop(x) + self.n]
+                u = next((u for u in stack[-1]
+                          if u not in bwd and self._consistent(fwd, bwd, x, u)), None)
+                if u is not None:
+                    fwd[x] = u - self.n
+                    bwd[u] = x
                     break
                 stack.pop()
             else:

@@ -1,3 +1,4 @@
+import bisect
 import builtins
 import itertools
 import random
@@ -8,9 +9,11 @@ import pytest
 from structcode import corpus, search
 from structcode.coding import encode, is_graph_embedding
 from structcode.core import BudgetExhausted, DiGraph, FinStructure, Signature, structure_of_graph
+from structcode.efgames import GameSolver, equiv_n
 from structcode.search import (
-    _incidence,
     _joint_colors,
+    _Searcher,
+    _union_rows,
     automorphisms,
     enumerate_embeddings,
     find_embedding,
@@ -356,12 +359,16 @@ def reference_refinement(a, b):
         color = new
 
 
-def joint_partition(a, b):
-    ca, cb, balanced = _joint_colors(_incidence(a), _incidence(b))
+def partition_of(colors):
     classes = {}
-    for i, c in enumerate(ca + cb):
+    for i, c in enumerate(colors):
         classes.setdefault(c, set()).add(i)
-    return {frozenset(c) for c in classes.values()}, balanced
+    return {frozenset(c) for c in classes.values()}
+
+
+def joint_partition(a, b):
+    color, balanced = _joint_colors(_union_rows(a, b), a.size)
+    return partition_of(color), balanced
 
 
 
@@ -470,7 +477,8 @@ def test_positions_in_shared_facts_split_classes():
 ])
 def test_refinement_work_is_near_linear_on_paths_and_cycles(monkeypatch, edges, most):
     # sorted calls count _joint_colors' work: one per element for its
-    # profile, one per round, and one per re-keyed element per round. On a
+    # profile, one per round, and one per re-keyed element with three or
+    # more facts per round (the next test counts the others' re-keys). On a
     # directed path the largest group keeping its class id keeps this near
     # linear; when the first group kept it, the whole middle of the path
     # was re-keyed each round, 2,008,999 calls
@@ -482,8 +490,35 @@ def test_refinement_work_is_near_linear_on_paths_and_cycles(monkeypatch, edges, 
 
     monkeypatch.setattr(search, "sorted", counting, raising=False)
     s = structure_of_graph(DiGraph.of(2000, edges))
-    _, _, balanced = _joint_colors(_incidence(s), _incidence(s))
+    _, balanced = _joint_colors(_union_rows(s, s), s.size)
     assert balanced and len(calls) <= most
+
+
+class _CountingRows(list):
+    """Union rows that count the refinement's reads of them."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("edges, most", [
+    ([(i, i + 1) for i in range(1999)], 25_000),
+    ([(i, (i + 1) % 2000) for i in range(2000)], 8_002),
+])
+def test_refinement_row_reads_are_near_linear_on_paths_and_cycles(edges, most):
+    # A round reads the row of each element whose colour changed, to find
+    # the elements to re-key, and the row of each re-keyed element. One-
+    # and two-fact elements are keyed without a sorted call, so this counts
+    # the re-keys the test above does not see: on the path the largest
+    # group keeping its class id reads 23,976 rows, the first group
+    # 4,004,000
+    s = structure_of_graph(DiGraph.of(2000, edges))
+    rows = _CountingRows(_union_rows(s, s))
+    _, balanced = _joint_colors(rows, s.size)
+    assert balanced and rows.reads <= most
 
 
 def test_isomorphism_respects_joint_colors():
@@ -492,9 +527,9 @@ def test_isomorphism_respects_joint_colors():
         m = find_isomorphism(a, b)
         assert m is not None or not planted
         if m is not None:
-            ca, cb, balanced = _joint_colors(_incidence(a), _incidence(b))
+            color, balanced = _joint_colors(_union_rows(a, b), a.size)
             assert balanced and is_isomorphism(a, b, m)
-            assert all(ca[x] == cb[y] for x, y in m.pairs)
+            assert all(color[x] == color[a.size + y] for x, y in m.pairs)
 
 
 def test_larger_coded_pairs_answer():
@@ -518,3 +553,265 @@ def test_larger_coded_pairs_answer():
         assert coded is not None or not planted
         if coded is not None:
             assert is_graph_embedding(ga, gb, coded)
+
+
+# ---------------------------------------------------------------------------
+# the union rows against the per-structure incidence they replaced: the
+# former _incidence and _joint_colors, kept as the reference, and a plain
+# depth-first search on their colours
+
+
+def incidence_of(s):
+    inc = [[] for _ in range(s.size)]
+    for name, tup in s.facts:
+        if len(set(tup)) == len(tup):
+            for p, x in enumerate(tup):
+                inc[x].append((name, (p,), tup))
+        else:
+            for x in set(tup):
+                inc[x].append((name, tuple(p for p, e in enumerate(tup) if e == x), tup))
+    return inc
+
+
+def profile_of(facts):
+    return tuple(sorted([(name, p) for name, positions, _ in facts for p in positions]))
+
+
+def shifted_joint_colors(inc_a, inc_b):
+    n = len(inc_a)
+    incident = inc_a + [[(name, pos, tuple([e + n for e in tup])) for name, pos, tup in f]
+                        for f in inc_b]
+    ids = {}
+    color = [ids.setdefault(profile_of(f), len(ids)) for f in incident]
+    size = [0] * len(ids)
+    surplus = [0] * len(ids)
+    for x, c in enumerate(color):
+        size[c] += 1
+        surplus[c] += 1 if x < n else -1
+    unbalanced = len(surplus) - surplus.count(0)
+    changed = range(len(color))
+    get = color.__getitem__
+    while unbalanced == 0:
+        rekey = sorted({e for y in changed for _, _, tup in incident[y] for e in tup})
+        if not rekey:
+            return color[:n], color[n:], True
+        groups = {}
+        for x in rekey:
+            env = tuple(sorted([(name, pos, tuple(map(get, tup)))
+                                for name, pos, tup in incident[x]]))
+            groups.setdefault(color[x], {}).setdefault(env, []).append(x)
+        changed = []
+        for c, by_env in groups.items():
+            moving = list(by_env.values())
+            if sum(map(len, moving)) == size[c]:
+                moving.remove(max(moving, key=len))
+            for group in moving:
+                fresh = len(size)
+                moved = 2 * bisect.bisect_left(group, n) - len(group)
+                unbalanced -= surplus[c] != 0
+                surplus[c] -= moved
+                unbalanced += (surplus[c] != 0) + (moved != 0)
+                size[c] -= len(group)
+                size.append(len(group))
+                surplus.append(moved)
+                for x in group:
+                    color[x] = fresh
+                changed.extend(group)
+    return color[:n], color[n:], False
+
+
+def reference_colors(a, b):
+    ca, cb, balanced = shifted_joint_colors(incidence_of(a), incidence_of(b))
+    return ca + cb, balanced
+
+
+class OutOfNodes(Exception):
+    pass
+
+
+def reference_search(a, b, budget):
+    """(mapping or None, nodes) of an isomorphism search on reference_colors.
+
+    Sources in order of most occurrences, then index; candidates of the
+    source's colour in index order; a pair is kept if every fact through it
+    whose elements are all mapped holds on the other side. Nodes count the
+    root and each kept pair, as _Searcher does; past budget the mapping is
+    "exhausted".
+    """
+    colors, balanced = reference_colors(a, b)
+    if not balanced:
+        return None, 0
+    through = [[[(name, tup) for name, tup in s.facts if x in tup] for x in range(s.size)]
+               for s in (a, b)]
+    order = sorted(range(a.size), key=lambda x: (-sum(t.count(x) for _, t in through[0][x]), x))
+    fwd, bwd = {}, {}
+    nodes = 0
+
+    def holds_through(facts, mapping, target):
+        return all((name, tuple(mapping[e] for e in tup)) in target.facts
+                   for name, tup in facts if all(e in mapping for e in tup))
+
+    def extend(depth):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise OutOfNodes
+        if depth == len(order):
+            return True
+        x = order[depth]
+        for t in range(b.size):
+            if colors[a.size + t] != colors[x] or t in bwd:
+                continue
+            fwd[x], bwd[t] = t, x
+            if (holds_through(through[0][x], fwd, b) and holds_through(through[1][t], bwd, a)
+                    and extend(depth + 1)):
+                return True
+            del fwd[x], bwd[t]
+        return False
+
+    try:
+        return (dict(fwd) if extend(0) else None), nodes
+    except OutOfNodes:
+        return "exhausted", nodes
+
+
+def searched(a, b, budget):
+    """find_isomorphism's answer with the nodes of the _Searcher behind it."""
+    if a.size != b.size or len(a.facts) != len(b.facts):
+        assert find_isomorphism(a, b, budget=budget) is None
+        return None, None
+    searcher = _Searcher(a, b, budget, order_by_constraint=True, iso=True)
+    try:
+        m = next(searcher.embeddings(), None)
+        assert find_isomorphism(a, b, budget=budget) == m
+    except BudgetExhausted:
+        return "exhausted", searcher.nodes
+    return (None if m is None else m.mapping()), searcher.nodes
+
+
+def _repeated_elements(rng, size):
+    """Ternary facts that each repeat an element, plus a few unary ones."""
+    tuples = [t for t in itertools.product(range(size), repeat=3) if len(set(t)) < 3]
+    facts = {("R", t) for t in tuples if rng.random() < 0.3}
+    facts |= {("U", (x,)) for x in range(size) if rng.random() < 0.3}
+    return FinStructure(TERNARY, size, frozenset(facts))
+
+
+def _swapped(rng, size):
+    """Ternary facts in swapped pairs R(x, y, z), R(y, x, w), and U on a
+    random subset: x and y can share a colour and both facts, and only the
+    positions tell them apart (as in test_positions_in_shared_facts_split_classes)."""
+    facts = {("U", (x,)) for x in range(size) if rng.random() < 0.4}
+    for _ in range(rng.randint(1, size // 2)):
+        x, y, z, w = rng.sample(range(size), 4)
+        facts |= {("R", (x, y, z)), ("R", (y, x, w))}
+    return FinStructure(TERNARY, size, frozenset(facts))
+
+
+def _coded(rng, size):
+    while True:
+        s = corpus.random_structure(rng, max_size=size, max_relations=2, max_arity=2)
+        if s.size == size:
+            return structure_of_graph(encode(s).graph)
+
+
+def differential_pairs(rng):
+    """(kind, a, b): 2,600 pairs, about half of each kind but the unequal
+    ones planted. Sparse structures have many one-fact elements;
+    circulants are balanced and often still not isomorphic."""
+    def pair(a, other):
+        if rng.random() < 0.5:
+            return a, corpus.random_permuted_copy(rng, a)[0]
+        return a, other()
+
+    for _ in range(600):
+        a = corpus.random_structure(rng, max_size=5)
+        yield ("random", *pair(a, lambda: corpus.random_structure(rng, max_size=5, sig=a.sig)))
+    for _ in range(400):
+        a = corpus.random_structure(rng, max_size=4, sig=TERNARY)
+        yield ("ternary", *pair(a, lambda: corpus.random_structure(rng, max_size=4, sig=TERNARY)))
+    for _ in range(300):
+        a = _repeated_elements(rng, rng.randint(1, 5))
+        yield ("repeated", *pair(a, lambda: _repeated_elements(rng, a.size)))
+    for _ in range(200):
+        a = _swapped(rng, rng.randint(4, 8))
+        yield ("swapped", *pair(a, lambda: _swapped(rng, a.size)))
+    for i in range(400):
+        size = (0, 1, 2, 3)[i % 4] if i < 40 else rng.randint(0, 2)
+        a = _coded(rng, size)
+        yield ("coded", *pair(a, lambda: _coded(rng, size)))
+    for i in range(200):
+        sig, size = (SIG, TERNARY, UNARY_BINARY)[i % 3], rng.randint(3, 8)
+        a = _sparse(rng, sig, size)
+        yield ("sparse", *pair(a, lambda: _sparse(rng, sig, size)))
+    for i in range(100):
+        sig, size = (SIG, TERNARY, UNARY_BINARY)[i % 3], rng.randint(6, 9)
+        a = _circulant(rng, sig, size)
+        yield ("circulant", *pair(a, lambda: _circulant(rng, sig, size)))
+    for _ in range(400):
+        a = corpus.random_structure(rng, max_size=6)
+        yield ("unequal", a, corpus.random_structure(rng, max_size=6, sig=a.sig))
+
+
+def test_union_rows_match_per_structure_refinement_and_search():
+    rng = random.Random(61)
+    seen = {}
+    for kind, a, b in differential_pairs(rng):
+        color, balanced = _joint_colors(_union_rows(a, b), a.size)
+        want_colors, want_balanced = reference_colors(a, b)
+        assert (partition_of(color), balanced) == (partition_of(want_colors), want_balanced)
+        got = searched(a, b, budget=2_000)
+        if got[1] is not None:
+            assert got == reference_search(a, b, budget=2_000)
+        seen.setdefault(kind, set()).add((balanced, got[0] is None))
+    assert sum(map(len, seen.values())) >= 16 and len(seen) == 8
+
+
+def test_equiv_n_matches_a_solver_on_reference_colours():
+    # equiv_n orders replies by the joint colours; with the reference colours
+    # the same game takes the same number of maps
+    rng = random.Random(67)
+    unequal = 0
+    for _ in range(150):
+        a = corpus.random_structure(rng, max_size=4, max_arity=2)
+        b = corpus.random_structure(rng, max_size=4, sig=a.sig)
+        n = rng.randint(1, 3)
+        colors, _ = reference_colors(a, b)
+        solver = GameSolver(a, b, colors=(colors[:a.size], colors[a.size:]))
+        want = solver.duplicator_wins((), min(n, len(solver.moves)))
+        assert equiv_n(a, b, n, budget=solver.states) == want
+        with pytest.raises(BudgetExhausted):
+            equiv_n(a, b, n, budget=solver.states - 1)
+        unequal += a.size != b.size
+    assert unequal >= 50
+
+
+# _joint_colors' work on the codings of 60 seeded pairs of 0-2 elements
+# (3,254 union elements), as counted by the former _incidence +
+# _joint_colors: 11,767 sorted calls and 13,332 reads of the incidence
+# rows. The union rows make 5,203 sorted calls (one- and two-fact elements
+# are keyed without one) and the same 13,332 row reads.
+PER_STRUCTURE_SORTED_CALLS = 11_767
+PER_STRUCTURE_ROW_READS = 13_332
+
+
+def test_refinement_work_on_coded_pairs(monkeypatch):
+    rng = random.Random(71)
+    pairs = []
+    for i in range(60):
+        a = _coded(rng, i % 3)
+        pairs.append((a, corpus.random_permuted_copy(rng, a)[0] if i % 2 else _coded(rng, i % 3)))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return builtins.sorted(*args, **kwargs)
+
+    monkeypatch.setattr(search, "sorted", counting, raising=False)
+    reads = 0
+    for a, b in pairs:
+        rows = _CountingRows(_union_rows(a, b))
+        _joint_colors(rows, a.size)
+        reads += rows.reads
+    assert len(calls) <= PER_STRUCTURE_SORTED_CALLS
+    assert reads <= PER_STRUCTURE_ROW_READS
