@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product, repeat
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -171,10 +172,19 @@ def atoms(sig: Signature, elems: Sequence[int]) -> Iterator[Fact]:
             yield from zip(repeat(name), product(elems, repeat=arity))
 
 
+GRAPH_SIG = Signature.of(("E", 2))
+
+
 @dataclass(frozen=True)
 class DiGraph:
-    """Directed graph on {0, ..., size-1}. Self-loops rejected unless allow_loops."""
+    """Directed graph on {0, ..., size-1}. Self-loops rejected unless allow_loops.
 
+    A digraph is a structure over GRAPH_SIG, the one binary relation E:
+    sig, facts and holds are FinStructure's, so searches and games take a
+    graph as it is. facts is built on first read and kept with the graph.
+    """
+
+    sig: ClassVar[Signature] = GRAPH_SIG
     size: int
     edges: frozenset[tuple[int, int]]
     allow_loops: bool = False
@@ -192,16 +202,20 @@ class DiGraph:
     def of(cls, size: int, edges: Iterable[tuple[int, int]] = (), allow_loops: bool = False) -> "DiGraph":
         return cls(size, frozenset((u, v) for u, v in edges), allow_loops)
 
+    @cached_property
+    def facts(self) -> frozenset[Fact]:
+        return frozenset(zip(repeat("E"), self.edges))
+
+    def holds(self, name: str, tup: Sequence[int]) -> bool:
+        return name == "E" and tuple(tup) in self.edges
+
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges
 
 
-GRAPH_SIG = Signature.of(("E", 2))
-
-
 def structure_of_graph(g: DiGraph) -> FinStructure:
-    """View a digraph as a one-binary-relation structure."""
-    return FinStructure.of(GRAPH_SIG, g.size, (("E", e) for e in g.edges))
+    """The digraph as a FinStructure over GRAPH_SIG."""
+    return FinStructure(GRAPH_SIG, g.size, g.facts)
 
 
 def _successors(size: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -227,19 +241,16 @@ class Morphism:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        seen_src: set[int] = set()
-        seen_dst: set[int] = set()
-        for s, t in self.pairs:
-            if not (0 <= s < self.source_size) or not (0 <= t < self.target_size):
-                raise ValueError(f"pair ({s},{t}) out of range")
-            if s in seen_src:
-                raise ValueError(f"source {s} mapped twice")
-            if t in seen_dst:
-                raise ValueError(f"map not injective at target {t}")
-            seen_src.add(s)
-            seen_dst.add(t)
-        if list(self.pairs) != sorted(self.pairs):
-            raise ValueError("pairs must be sorted by source index")
+        if not self.pairs:
+            return
+        sources, targets = zip(*self.pairs)
+        if list(sources) != sorted(set(sources)):
+            raise ValueError("pairs must be sorted by source index, each source once")
+        if len(set(targets)) != len(targets):
+            raise ValueError("map not injective")
+        if (sources[0] < 0 or sources[-1] >= self.source_size
+                or min(targets) < 0 or max(targets) >= self.target_size):
+            raise ValueError("pair out of range")
 
     @classmethod
     def from_mapping(cls, source_size: int, target_size: int, mapping: dict[int, int]) -> "Morphism":

@@ -20,7 +20,7 @@ from itertools import combinations, product, repeat
 from typing import Optional, Sequence
 
 from .core import BudgetExhausted, DEFAULT_BUDGET, FinStructure, atoms
-from .search import Structish, _as_structure, _joint_colors, _union_rows
+from .search import Structish, _joint_colors, _union_rows
 
 DUPLICATOR = "Duplicator"
 SPOILER = "Spoiler"
@@ -110,7 +110,7 @@ class GameSolver:
     otherwise Spoiler wins by pebbling the rest of the larger side.
     """
 
-    def __init__(self, left: FinStructure, right: FinStructure,
+    def __init__(self, left: Structish, right: Structish,
                  budget: int = DEFAULT_BUDGET,
                  colors: Optional[tuple[list[int], list[int]]] = None):
         if left.sig != right.sig:
@@ -168,7 +168,7 @@ def ef_winner(left: Structish, right: Structish, n: int,
               budget: int = DEFAULT_BUDGET) -> str:
     """Exact winner of the n-round game from the empty position."""
     assert n >= 0
-    solver = GameSolver(_as_structure(left), _as_structure(right), budget)
+    solver = GameSolver(left, right, budget)
     return DUPLICATOR if solver.duplicator_wins((), min(n, len(solver.moves))) else SPOILER
 
 
@@ -180,8 +180,7 @@ def ef_trace(left: Structish, right: Structish, n: int,
     least legal move. A None response means Duplicator had no legal reply.
     """
     assert n >= 0
-    ls, rs = _as_structure(left), _as_structure(right)
-    solver = GameSolver(ls, rs, budget)
+    solver = GameSolver(left, right, budget)
     cap = len(solver.moves)
     if solver.duplicator_wins((), min(n, cap)):
         # Spoiler's least move re-pebbles the first pair each round, and
@@ -197,7 +196,7 @@ def ef_trace(left: Structish, right: Structish, n: int,
         i = next(i for i in solver.moves
                  if solver.answer(pebbles, fwd, i, min(k - 1, cap)) is None)
         reply = solver.answer(pebbles, fwd, i, None)
-        side, e = ("left", i) if i < ls.size else ("right", i - ls.size)
+        side, e = ("left", i) if i < left.size else ("right", i - left.size)
         if reply is None:
             trace.append((side, e, None))
             break
@@ -219,10 +218,9 @@ def equiv_n(left: Structish, right: Structish, n: int,
     order is a heuristic only, and the scan is exhaustive; budget bounds the
     maps (positions) solved.
     """
-    ls, rs = _as_structure(left), _as_structure(right)
     assert n >= 0
-    color, _ = _joint_colors(_union_rows(ls, rs), ls.size)
-    solver = GameSolver(ls, rs, budget, colors=(color[:ls.size], color[ls.size:]))
+    color, _ = _joint_colors(_union_rows(left, right), left.size)
+    solver = GameSolver(left, right, budget, colors=(color[:left.size], color[left.size:]))
     try:
         return solver.duplicator_wins((), min(n, len(solver.moves)))
     except BudgetExhausted as err:

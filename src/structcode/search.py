@@ -16,9 +16,13 @@ Each search, and efgames.equiv_n, reads the facts of both structures once,
 into per-element rows of their disjoint union (_union_rows: the source's
 element x is x, the target's element t is source.size + t). The colour
 refinement, the consistency check, the search order and the candidate
-buckets all read those rows. _refine takes a colouring that is stable
-except around a worklist of elements, so a caller can split one class of
-a stable colouring and refine from that split alone.
+buckets all read those rows. The search state is numbered the same way:
+one pair map takes a matched source element to its union number and back,
+and one union fact set checks preservation and reflection together. A
+DiGraph is searched as it is, as a structure over core.GRAPH_SIG. _refine
+takes a colouring that is stable except around a worklist of elements, so
+a caller can split one class of a stable colouring and refine from that
+split alone.
 Both structures must share a signature; a mismatch raises ValueError
 before any size or fact-count shortcut answers.
 """
@@ -28,26 +32,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from heapq import merge
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .core import (
-    BudgetExhausted,
-    DEFAULT_BUDGET,
-    DiGraph,
-    FinStructure,
-    Morphism,
-    atoms,
-    structure_of_graph,
-)
+from .core import BudgetExhausted, DEFAULT_BUDGET, DiGraph, FinStructure, Morphism, atoms
 
 Structish = Union[FinStructure, DiGraph]
-
-
-def _as_structure(x: Structish) -> FinStructure:
-    if isinstance(x, DiGraph):
-        return structure_of_graph(x)
-    return x
 
 
 # one element's facts: (relation, positions of the element, tuple) for each
@@ -55,7 +45,7 @@ def _as_structure(x: Structish) -> FinStructure:
 Row = list[tuple[str, tuple[int, ...], tuple[int, ...]]]
 
 
-def _union_rows(a: FinStructure, b: FinStructure) -> list[Row]:
+def _union_rows(a: Structish, b: Structish) -> list[Row]:
     """The fact index of a search: every fact of a and b read once into rows
     of their disjoint union, where b's element x is element a.size + x."""
     n = a.size
@@ -169,19 +159,22 @@ def _joint_colors(rows: list[Row], n: int) -> tuple[list[int], bool]:
 class _Searcher:
     """One source/target search: embeddings() walks it, counting nodes against budget.
 
-    Target element t is element n + t of the union rows, n = source.size;
-    candidates are union numbers, fwd maps source elements to target
-    elements and bwd maps union numbers back to source elements.
+    Target element t is element n + t of the union rows, n = source.size.
+    Candidates are union numbers, and the search state is one dict, pair,
+    that maps a matched source element x to its union number u and u back
+    to x. facts holds both structures' facts in the union numbering, so
+    one lookup checks a fact's image on either side.
     """
 
-    def __init__(self, source: FinStructure, target: FinStructure, budget: int,
+    def __init__(self, source: Structish, target: Structish, budget: int,
                  order_by_constraint: bool, iso: bool):
-        self.source = source
-        self.target = target
+        self.m = target.size
         self.budget = budget
         self.nodes = 0
         self.n = n = source.size
         self.rows = rows = _union_rows(source, target)
+        self.facts = set(source.facts)
+        self.facts.update((name, tup) for row in rows[n:] for name, _, tup in row)
         if order_by_constraint:
             self.order = sorted(range(n), key=lambda i: (-sum(len(pos) for _, pos, _ in rows[i]), i))
         else:
@@ -217,22 +210,18 @@ class _Searcher:
                                                 if not (occ - dst)]
         return lists[0] if len(lists) == 1 else merge(*lists)
 
-    def _consistent(self, fwd: dict[int, int], bwd: dict[int, int], x: int, u: int) -> bool:
-        fwd[x] = u - self.n
-        bwd[u] = x
+    def _consistent(self, pair: dict[int, int], x: int, u: int) -> bool:
+        pair[x] = u
+        pair[u] = x
         try:
-            for name, _, tup in self.rows[x]:
-                if all(e in fwd for e in tup):
-                    if not self.target.holds(name, tuple(fwd[e] for e in tup)):
-                        return False
-            for name, _, tup in self.rows[u]:
-                if all(e in bwd for e in tup):
-                    if not self.source.holds(name, tuple(bwd[e] for e in tup)):
-                        return False
+            image = pair.__getitem__
+            for name, _, tup in chain(self.rows[x], self.rows[u]):
+                if all(e in pair for e in tup) and (name, tuple(map(image, tup))) not in self.facts:
+                    return False
             return True
         finally:
-            del fwd[x]
-            del bwd[u]
+            del pair[x]
+            del pair[u]
 
     def embeddings(self) -> Iterator[Morphism]:
         """Yield each embedding at its leaf, depth-first over self.order with
@@ -240,8 +229,8 @@ class _Searcher:
         stack does not grow with the source size."""
         if not self.feasible:
             return
-        fwd: dict[int, int] = {}
-        bwd: dict[int, int] = {}
+        n = self.n
+        pair: dict[int, int] = {}
         stack: list[Iterator[int]] = []
         while True:
             self.nodes += 1
@@ -251,40 +240,38 @@ class _Searcher:
                     used=self.nodes, budget=self.budget,
                 )
             if len(stack) == len(self.order):
-                yield Morphism.from_mapping(self.source.size, self.target.size, fwd)
+                yield Morphism(n, self.m, tuple((x, pair[x] - n) for x in range(n)))
             else:
                 stack.append(iter(self.candidates(self.order[len(stack)])))
             # Move the deepest level to its next consistent candidate,
             # dropping exhausted levels; an empty stack ends the search.
             while stack:
                 x = self.order[len(stack) - 1]
-                if x in fwd:
-                    del bwd[fwd.pop(x) + self.n]
+                if x in pair:
+                    del pair[pair.pop(x)]
                 u = next((u for u in stack[-1]
-                          if u not in bwd and self._consistent(fwd, bwd, x, u)), None)
+                          if u not in pair and self._consistent(pair, x, u)), None)
                 if u is not None:
-                    fwd[x] = u - self.n
-                    bwd[u] = x
+                    pair[x] = u
+                    pair[u] = x
                     break
                 stack.pop()
             else:
                 return
 
 
-def _same_signature(a: Structish, b: Structish) -> tuple[FinStructure, FinStructure]:
-    sa, sb = _as_structure(a), _as_structure(b)
-    if sa.sig != sb.sig:
+def _same_signature(a: Structish, b: Structish) -> None:
+    if a.sig != b.sig:
         raise ValueError("source and target must share a signature")
-    return sa, sb
 
 
 def find_embedding(source: Structish, target: Structish,
                    budget: int = DEFAULT_BUDGET) -> Optional[Morphism]:
     """First embedding found, or None after exhausting the search space."""
-    src, dst = _same_signature(source, target)
-    if src.size > dst.size:
+    _same_signature(source, target)
+    if source.size > target.size:
         return None
-    searcher = _Searcher(src, dst, budget, order_by_constraint=True, iso=False)
+    searcher = _Searcher(source, target, budget, order_by_constraint=True, iso=False)
     return next(searcher.embeddings(), None)
 
 
@@ -296,10 +283,10 @@ def find_isomorphism(a: Structish, b: Structish,
     when the two sides' colour histograms differ at some round, otherwise
     candidates restricted to the same stable colour.
     """
-    sa, sb = _same_signature(a, b)
-    if sa.size != sb.size or len(sa.facts) != len(sb.facts):
+    _same_signature(a, b)
+    if a.size != b.size or len(a.facts) != len(b.facts):
         return None
-    searcher = _Searcher(sa, sb, budget, order_by_constraint=True, iso=True)
+    searcher = _Searcher(a, b, budget, order_by_constraint=True, iso=True)
     return next(searcher.embeddings(), None)
 
 
@@ -314,19 +301,17 @@ def enumerate_embeddings(a: Structish, b: Structish, cap: int,
 
     complete=False flags that the cap cut the enumeration short.
     """
-    src, dst = _same_signature(a, b)
-    if src.size > dst.size:
+    _same_signature(a, b)
+    if a.size > b.size:
         return Embeddings([], True)
-    found = _Searcher(src, dst, budget, order_by_constraint=False, iso=False).embeddings()
+    found = _Searcher(a, b, budget, order_by_constraint=False, iso=False).embeddings()
     morphisms = list(islice(found, cap))
     return Embeddings(morphisms, next(found, None) is None)
 
 
 def automorphisms(s: Structish, budget: int = DEFAULT_BUDGET) -> list[Morphism]:
     """Every automorphism (embeddings of a structure into itself are bijective)."""
-    struct = _as_structure(s)
-    return list(_Searcher(struct, struct, budget, order_by_constraint=False,
-                          iso=False).embeddings())
+    return list(_Searcher(s, s, budget, order_by_constraint=False, iso=False).embeddings())
 
 
 def is_embedding(source: Structish, target: Structish, m: Morphism) -> bool:
@@ -336,16 +321,15 @@ def is_embedding(source: Structish, target: Structish, m: Morphism) -> bool:
     that search results are checked by code that shares nothing with the
     search.
     """
-    src, dst = _as_structure(source), _as_structure(target)
-    if src.sig != dst.sig:
+    if source.sig != target.sig:
         return False
-    if m.source_size != src.size or m.target_size != dst.size:
+    if m.source_size != source.size or m.target_size != target.size:
         return False
     if not m.is_total():
         return False
     mapping = m.mapping()
-    return all(src.holds(name, tup) == dst.holds(name, tuple(mapping[x] for x in tup))
-               for name, tup in atoms(src.sig, range(src.size)))
+    return all(source.holds(name, tup) == target.holds(name, tuple(mapping[x] for x in tup))
+               for name, tup in atoms(source.sig, range(source.size)))
 
 
 def is_isomorphism(a: Structish, b: Structish, m: Morphism) -> bool:

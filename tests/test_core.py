@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from itertools import product
@@ -11,6 +12,7 @@ from structcode.core import (
     BudgetExhausted,
     DiGraph,
     FinStructure,
+    GRAPH_SIG,
     Morphism,
     ParseError,
     Signature,
@@ -151,6 +153,25 @@ def test_graph_loops_flagged():
 def test_morphism_injectivity_enforced():
     with pytest.raises(ValueError):
         Morphism.from_mapping(2, 2, {0: 1, 1: 1})
+
+
+@pytest.mark.parametrize("pairs, error", [
+    ((), None),
+    (((0, 1), (1, 0)), None),
+    (((0, 0), (0, 1)), "sorted"),  # a source mapped twice
+    (((1, 0), (0, 1)), "sorted"),  # sources out of order
+    (((0, 1), (1, 1)), "injective"),
+    (((-1, 0),), "range"),  # the first source
+    (((0, 0), (2, 1)), "range"),  # the last source
+    (((0, 1), (1, -1)), "range"),  # the least target
+    (((0, 2), (1, 0)), "range"),  # the greatest target
+])
+def test_morphism_rejects_each_violation(pairs, error):
+    if error is None:
+        assert Morphism(2, 2, pairs).pairs == pairs
+    else:
+        with pytest.raises(ValueError, match=error):
+            Morphism(2, 2, pairs)
 
 
 def test_morphism_compose_and_invert():
@@ -435,3 +456,18 @@ def test_structure_of_graph():
     g = DiGraph.of(2, [(0, 1)])
     s = structure_of_graph(g)
     assert s.holds("E", (0, 1)) and not s.holds("E", (1, 0))
+
+
+def test_digraph_is_a_structure_over_e():
+    # sig is a class attribute, not a field: construction, ==, hash and repr
+    # are those of (size, edges, allow_loops)
+    assert [f.name for f in dataclasses.fields(DiGraph)] == ["size", "edges", "allow_loops"]
+    g = DiGraph.of(3, [(0, 1), (2, 2)], allow_loops=True)
+    fresh = DiGraph.of(3, [(2, 2), (0, 1)], allow_loops=True)
+    assert g.sig == GRAPH_SIG and "sig" not in repr(g)
+    assert g.facts == {("E", (0, 1)), ("E", (2, 2))} and g.facts is g.facts
+    assert g == fresh and hash(g) == hash(fresh)  # g's facts are built, fresh's not
+    assert g.holds("E", [0, 1]) and not g.holds("E", [1, 0])
+    assert g.holds("E", (2, 2))  # a loop under allow_loops is a fact
+    assert not g.holds("R", (0, 1))  # an unknown relation holds nowhere
+    assert structure_of_graph(g) == FinStructure(GRAPH_SIG, 3, g.facts)

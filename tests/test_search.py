@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from structcode import corpus, search
+from structcode import corpus, efgames, search
 from structcode.coding import encode, is_graph_embedding
 from structcode.core import BudgetExhausted, DiGraph, FinStructure, Signature, structure_of_graph
 from structcode.efgames import GameSolver, equiv_n
@@ -708,11 +708,15 @@ def _swapped(rng, size):
     return FinStructure(TERNARY, size, frozenset(facts))
 
 
-def _coded(rng, size):
+def _coded_graph(rng, size):
     while True:
         s = corpus.random_structure(rng, max_size=size, max_relations=2, max_arity=2)
         if s.size == size:
-            return structure_of_graph(encode(s).graph)
+            return encode(s).graph
+
+
+def _coded(rng, size):
+    return structure_of_graph(_coded_graph(rng, size))
 
 
 def differential_pairs(rng):
@@ -815,3 +819,100 @@ def test_refinement_work_on_coded_pairs(monkeypatch):
         reads += rows.reads
     assert len(calls) <= PER_STRUCTURE_SORTED_CALLS
     assert reads <= PER_STRUCTURE_ROW_READS
+
+
+def counted(monkeypatch, module, name, counter, call):
+    """(call's answer, or ("exhausted", used), and counter of each
+    module.name instance the call made)."""
+    made = []
+
+    class Recording(getattr(module, name)):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, Recording)
+        try:
+            answer = call()
+        except BudgetExhausted as err:
+            answer = ("exhausted", err.used)
+    return answer, [getattr(x, counter) for x in made]
+
+
+def exhausted(answer):
+    return isinstance(answer, tuple) and answer[0] == "exhausted"
+
+
+def _looped(rng):
+    g = corpus.random_graph(rng, max_size=5)
+    loops = [(x, x) for x in range(g.size) if rng.random() < 0.4]
+    return DiGraph.of(g.size, [*g.edges, *loops], allow_loops=True)
+
+
+def graph_pairs(rng):
+    """(a, b, c): b isomorphic to a or drawn alike, c no larger than a."""
+    makers = [lambda: corpus.random_graph(rng, max_size=6)] * 3 + [lambda: _looped(rng)] * 2
+    makers += [lambda i=i: _coded_graph(rng, i) for i in range(4)]
+    for make in makers * 6:
+        a = make()
+        b = corpus.random_permuted_graph(rng, a)[0] if rng.random() < 0.5 else make()
+        c = corpus.random_induced_subgraph(rng, a)[0] if rng.random() < 0.5 else make()
+        yield a, b, c
+
+
+def test_graphs_search_and_play_as_their_structures(monkeypatch):
+    # a DiGraph is read through its own sig, facts and holds; the answers
+    # and the work done must be those of structure_of_graph's copy
+    searches = {
+        "iso": lambda a, b, c: find_isomorphism(a, b, budget=300),
+        "embed": lambda a, b, c: find_embedding(c, a, budget=300),
+        "enum": lambda a, b, c: enumerate_embeddings(c, b, cap=5, budget=300),
+        "aut": lambda a, b, c: automorphisms(a, budget=300),
+    }
+    games = {
+        "ef": lambda a, b, n: efgames.ef_winner(a, b, n, budget=200),
+        "trace": lambda a, b, n: efgames.ef_trace(a, b, n, budget=200),
+        "equiv": lambda a, b, n: equiv_n(a, b, n, budget=200),
+    }
+    rng = random.Random(73)
+    seen = set()
+    for a, b, c in graph_pairs(rng):
+        sa, sb, sc = map(structure_of_graph, (a, b, c))
+        for name, call in searches.items():
+            got = counted(monkeypatch, search, "_Searcher", "nodes", lambda: call(a, b, c))
+            assert got == counted(monkeypatch, search, "_Searcher", "nodes",
+                                  lambda: call(sa, sb, sc))
+            seen.add((name, got[0] is None, exhausted(got[0])))
+        if a.size + b.size <= 60:
+            n = rng.randint(0, 3)
+            for name, call in games.items():
+                got = counted(monkeypatch, efgames, "GameSolver", "states",
+                              lambda: call(a, b, n))
+                assert got == counted(monkeypatch, efgames, "GameSolver", "states",
+                                      lambda: call(sa, sb, n))
+                seen.add((name, str(got[0]), exhausted(got[0])))
+    # each search both found and missed; each game went both ways
+    assert {(name, none, False) for name in ("iso", "embed") for none in (True, False)} <= seen
+    assert {("ef", "Duplicator", False), ("ef", "Spoiler", False),
+            ("equiv", "True", False), ("equiv", "False", False)} <= seen
+
+
+def test_graph_inputs_build_no_structure(monkeypatch):
+    # searches and games read a DiGraph's own facts view, built once
+    rng = random.Random(79)
+    a = _coded_graph(rng, 2)
+    b = corpus.random_permuted_graph(rng, a)[0]
+    built = []
+    check = FinStructure.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(FinStructure, "__post_init__", counting)
+    assert find_isomorphism(a, b) is not None
+    facts = a.facts
+    assert find_embedding(a, b, budget=10_000) is not None
+    assert efgames.ef_winner(a, b, 1) == "Duplicator" and equiv_n(a, b, 1)
+    assert built == [] and a.facts is facts
