@@ -3,26 +3,32 @@
 Embedding means the strong relational sense: an injective map that preserves
 and reflects every relation, i.e. an isomorphism onto an induced
 substructure. One generator, _Searcher.embeddings, yields the embeddings in
-a fixed order and each public search takes what it needs; a search raises
-BudgetExhausted instead of guessing when the node cap is hit.
+a fixed order, and find_embedding, enumerate_embeddings and automorphisms
+each take what they need. Embedding search prunes by occurrence counts
+alone. A search raises BudgetExhausted instead of guessing when the node
+cap is hit.
 
-Isomorphism search first refines the disjoint union of its two inputs to a
-stable colour partition, so colours compare across the two sides. It stops
-with "not isomorphic" at the first round whose colour histograms differ
-between the sides; otherwise each element may only map to elements of its
-own colour. Embedding search prunes by occurrence counts alone.
+Isomorphism search is individualization-refinement (_isomorphism_search;
+McKay & Piperno 2014). It first refines the disjoint union of its two
+inputs to a stable colour partition, so colours compare across the two
+sides, and stops with "not isomorphic" at the first round whose colour
+histograms differ between the sides. While some class holds more than
+one element of each side, it matches the least source element of such a
+class with each target of its class in turn, gives the two a fresh colour
+and refines from that split alone; a branch whose histograms differ is
+pruned. A partition into pairs gives the map, which is checked against
+the target's facts. The search keeps one colouring and unwinds it from a
+trail of class moves, so a node costs what its refinement re-keys.
 
 Each search, and efgames.equiv_n, reads the facts of both structures once,
 into per-element rows of their disjoint union (_union_rows: the source's
 element x is x, the target's element t is source.size + t). The colour
-refinement, the consistency check, the search order and the candidate
-buckets all read those rows. The search state is numbered the same way:
-one pair map takes a matched source element to its union number and back,
-and one union fact set checks preservation and reflection together. A
-DiGraph is searched as it is, as a structure over core.GRAPH_SIG. _refine
-takes a colouring that is stable except around a worklist of elements, so
-a caller can split one class of a stable colouring and refine from that
-split alone.
+refinement and the embedding search's consistency check, search order and
+candidate buckets all read those rows. The embedding search's state is
+numbered the same way: one pair map takes a matched source element to its
+union number and back, and one union fact set checks preservation and
+reflection together. A DiGraph is searched as it is, as a structure over
+core.GRAPH_SIG.
 Both structures must share a signature; a mismatch raises ValueError
 before any size or fact-count shortcut answers.
 """
@@ -50,13 +56,15 @@ def _union_rows(a: Structish, b: Structish) -> list[Row]:
     of their disjoint union, where b's element x is element a.size + x."""
     n = a.size
     rows: list[Row] = [[] for _ in range(n + b.size)]
+    # one positions tuple per position, shared by the rows
+    at = [(p,) for p in range(max((arity for _, arity in a.sig.relations), default=0))]
     for shift, facts in ((0, a.facts), (n, b.facts)):
         for name, tup in facts:
             if shift:
                 tup = tuple([e + shift for e in tup])
             if len(set(tup)) == len(tup):
                 for p, x in enumerate(tup):
-                    rows[x].append((name, (p,), tup))
+                    rows[x].append((name, at[p], tup))
             else:
                 for x in set(tup):
                     rows[x].append((name, tuple(p for p, e in enumerate(tup) if e == x), tup))
@@ -69,11 +77,25 @@ def _profile(row: Row) -> tuple[tuple[str, int], ...]:
     return tuple(sorted([(name, p) for name, positions, _ in row for p in positions]))
 
 
-def _refine(rows: list[Row], color: list[int], n: int, changed: Iterable[int]) -> bool:
-    """Refine color, a colouring of the union a + b (elements below n are
-    a's), in place to a stable partition, and return whether it is balanced.
-    changed is the worklist: every element whose colour changed since color
-    was last stable, or every element for a colouring never refined, as
+def _class_counts(color: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Per class of a colouring of the union a + b: its size, and its
+    surplus, the members in a minus the members in b."""
+    size = [0] * (max(color, default=-1) + 1)
+    surplus = size[:]
+    for x, c in enumerate(color):
+        size[c] += 1
+        surplus[c] += 1 if x < n else -1
+    return size, surplus
+
+
+def _refine(rows: list[Row], color: list[int], n: int, changed: Iterable[int],
+            size: list[int], surplus: list[int],
+            trail: Optional[list[tuple[int, list[int]]]] = None) -> bool:
+    """Refine color, a balanced colouring of the union a + b (elements
+    below n are a's) with the class counts of _class_counts, in place to a
+    stable partition, and return whether it is balanced. changed is the
+    worklist: every element whose colour changed since color was last
+    stable, or every element for a colouring never refined, as
     _joint_colors passes.
 
     Before each round the two halves' colour histograms are compared;
@@ -87,16 +109,13 @@ def _refine(rows: list[Row], color: list[int], n: int, changed: Iterable[int]) -
 
     An element's key is its colour and the sorted (relation, positions,
     colours of the tuple) of each of its facts. The histogram check is kept
-    running: per class, its members in a minus its members in b, and the
-    number of classes where that is not zero; both change only when a group
-    of elements moves to a fresh class.
+    running: size and surplus are updated in place, and the number of
+    classes whose surplus is not zero is counted; they change only when a
+    group of elements moves to a fresh class, whose id is len(size). Each
+    such move is appended to trail, if given, as (old class, group), so a
+    caller can undo it, as _isomorphism_search does.
     """
-    size = [0] * (max(color, default=-1) + 1)
-    surplus = size[:]  # per class: members in a minus members in b
-    for x, c in enumerate(color):
-        size[c] += 1
-        surplus[c] += 1 if x < n else -1
-    unbalanced = len(surplus) - surplus.count(0)
+    unbalanced = 0
     get = color.__getitem__
     while unbalanced == 0:
         rekey = sorted({e for y in changed for _, _, tup in rows[y] for e in tup})
@@ -139,6 +158,8 @@ def _refine(rows: list[Row], color: list[int], n: int, changed: Iterable[int]) -
                 for x in group:
                     color[x] = fresh
                 changed.extend(group)
+                if trail is not None:
+                    trail.append((c, group))
     return False
 
 
@@ -153,11 +174,121 @@ def _joint_colors(rows: list[Row], n: int) -> tuple[list[int], bool]:
     """
     ids: dict[tuple, int] = {}
     color = [ids.setdefault(_profile(row), len(ids)) for row in rows]
-    return color, _refine(rows, color, n, range(len(color)))
+    size, surplus = _class_counts(color, n)
+    return color, not any(surplus) and _refine(rows, color, n, range(len(color)), size, surplus)
+
+
+def _isomorphism_search(a: Structish, b: Structish, budget: int) -> Optional[Morphism]:
+    """find_isomorphism's search, individualization-refinement (McKay &
+    Piperno 2014) on one colouring of the union a + b that backtracking
+    unwinds from a trail.
+
+    The root is the stable colouring of _joint_colors; None if it is not
+    balanced. At a balanced stable colouring, the least source element x
+    whose class is not a pair is matched in turn with each target u of its
+    class: x and u get one fresh colour, and _refine splits from those two
+    alone. An unbalanced result prunes the branch. A colouring of pairs
+    only is discrete and gives the map x -> the target in x's class. It is
+    accepted iff every fact of a maps into b.facts; the sizes and fact
+    counts are equal, so that also covers reflection.
+
+    Every class move, the individualization's and _refine's, goes on the
+    trail as (old class, group), in the order of the fresh ids, and
+    backtracking pops it. targets[c] lists class c's target elements. A
+    move swap-removes its targets from the old class's list, and spots
+    keeps each removal's position, so the pops put every list back in its
+    order. A frame is [x, x's class, next candidate index, trail length].
+    x only moves forward along a path, as classes only split going deeper.
+
+    Nodes count the root and each individualization. BudgetExhausted is
+    raised before the node past the budget does any work.
+    """
+    n = a.size
+    rows = _union_rows(a, b)
+    color, balanced = _joint_colors(rows, n)
+    if not balanced:
+        return None
+    size, surplus = _class_counts(color, n)
+    targets: list[list[int]] = [[] for _ in size]
+    where = [0] * len(rows)  # a target's index in its class's list
+    for u in range(n, len(rows)):
+        where[u] = len(targets[color[u]])
+        targets[color[u]].append(u)
+    trail: list[tuple[int, list[int]]] = []
+    spots: list[int] = []
+    stack: list[list[int]] = []
+    facts = b.facts
+    nodes = 0
+    x, u = 0, None
+    while True:
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExhausted(f"embedding search exceeded {budget} nodes",
+                                  used=nodes, budget=budget)
+        balanced = True
+        if u is not None:
+            mark = len(trail)
+            c = color[x]
+            color[x] = color[u] = len(size)
+            size[c] -= 2
+            size.append(2)
+            surplus.append(0)
+            trail.append((c, [x, u]))
+            balanced = _refine(rows, color, n, (x, u), size, surplus, trail)
+            for old, group in trail[mark:]:
+                moved = group[bisect_left(group, n):]
+                pool = targets[old]
+                for t in moved:
+                    p = where[t]
+                    spots.append(p)
+                    last = pool.pop()
+                    if last != t:
+                        pool[p] = last
+                        where[last] = p
+                for i, t in enumerate(moved):
+                    where[t] = i
+                targets.append(moved)
+        if balanced:
+            while x < n and size[color[x]] == 2:
+                x += 1
+            if x < n:
+                stack.append([x, color[x], 0, len(trail)])
+            else:
+                image = [targets[c][0] - n for c in color[:n]]
+                get = image.__getitem__
+                if all((name, tuple(map(get, tup))) in facts for name, tup in a.facts):
+                    return Morphism(n, n, tuple(enumerate(image)))
+        # Unwind to the deepest frame with a candidate left, and take it.
+        while stack:
+            frame = stack[-1]
+            x, c, i, mark = frame
+            while len(trail) > mark:
+                old, group = trail.pop()
+                pool = targets[old]
+                for t in reversed(targets.pop()):
+                    p = spots.pop()
+                    if p < len(pool):
+                        where[pool[p]] = len(pool)
+                        pool.append(pool[p])
+                        pool[p] = t
+                    else:
+                        pool.append(t)
+                    where[t] = p
+                for y in group:
+                    color[y] = old
+                size[old] += size.pop()
+                surplus[old] += surplus.pop()
+            if i < len(targets[c]):
+                frame[2] = i + 1
+                u = targets[c][i]
+                break
+            stack.pop()
+        else:
+            return None
 
 
 class _Searcher:
-    """One source/target search: embeddings() walks it, counting nodes against budget.
+    """One embedding search: embeddings() walks it, counting nodes against budget.
 
     Target element t is element n + t of the union rows, n = source.size.
     Candidates are union numbers, and the search state is one dict, pair,
@@ -167,7 +298,7 @@ class _Searcher:
     """
 
     def __init__(self, source: Structish, target: Structish, budget: int,
-                 order_by_constraint: bool, iso: bool):
+                 order_by_constraint: bool):
         self.m = target.size
         self.budget = budget
         self.nodes = 0
@@ -179,27 +310,18 @@ class _Searcher:
             self.order = sorted(range(n), key=lambda i: (-sum(len(pos) for _, pos, _ in rows[i]), i))
         else:
             self.order = list(range(n))
-        if iso:
-            color, self.feasible = _joint_colors(rows, n)
-            bucket: dict[int, list[int]] = {}
-            for u in range(n, len(rows)):
-                bucket.setdefault(color[u], []).append(u)
-            self.candidates = [bucket.get(c, []) for c in color[:n]].__getitem__
-        else:
-            self.feasible = True
-            # Target elements bucketed by occurrence profile: t is a candidate
-            # for x iff t's profile dominates x's, so x's candidates, in index
-            # order, merge the buckets that dominate x's profile. Nothing of
-            # size source.size * target.size is built up front.
-            buckets: dict[tuple, list[int]] = {}
-            for u in range(n, len(rows)):
-                buckets.setdefault(_profile(rows[u]), []).append(u)
-            self.buckets = [(Counter(p), us) for p, us in buckets.items()]
-            self.src_profile = [_profile(row) for row in rows[:n]]
-            self.dominating: dict[tuple, list[list[int]]] = {}
-            self.candidates = self._dominating
+        # Target elements bucketed by occurrence profile: t is a candidate
+        # for x iff t's profile dominates x's, so x's candidates, in index
+        # order, merge the buckets that dominate x's profile. Nothing of
+        # size source.size * target.size is built up front.
+        buckets: dict[tuple, list[int]] = {}
+        for u in range(n, len(rows)):
+            buckets.setdefault(_profile(rows[u]), []).append(u)
+        self.buckets = [(Counter(p), us) for p, us in buckets.items()]
+        self.src_profile = [_profile(row) for row in rows[:n]]
+        self.dominating: dict[tuple, list[list[int]]] = {}
 
-    def _dominating(self, x: int) -> Iterable[int]:
+    def candidates(self, x: int) -> Iterable[int]:
         """x's embedding candidates in index order. The buckets they come
         from are found on first use, once per source profile."""
         profile = self.src_profile[x]
@@ -227,8 +349,6 @@ class _Searcher:
         """Yield each embedding at its leaf, depth-first over self.order with
         an explicit stack of per-depth candidate iterators, so the Python
         stack does not grow with the source size."""
-        if not self.feasible:
-            return
         n = self.n
         pair: dict[int, int] = {}
         stack: list[Iterator[int]] = []
@@ -271,7 +391,7 @@ def find_embedding(source: Structish, target: Structish,
     _same_signature(source, target)
     if source.size > target.size:
         return None
-    searcher = _Searcher(source, target, budget, order_by_constraint=True, iso=False)
+    searcher = _Searcher(source, target, budget, order_by_constraint=True)
     return next(searcher.embeddings(), None)
 
 
@@ -279,15 +399,15 @@ def find_isomorphism(a: Structish, b: Structish,
                      budget: int = DEFAULT_BUDGET) -> Optional[Morphism]:
     """A bijective embedding, or None.
 
-    Joint colour refinement of a + b prunes the search: None without search
-    when the two sides' colour histograms differ at some round, otherwise
-    candidates restricted to the same stable colour.
+    None without search when the sizes or fact counts differ, or when the
+    two sides' colour histograms differ at some round of joint colour
+    refinement; otherwise individualization-refinement
+    (_isomorphism_search).
     """
     _same_signature(a, b)
     if a.size != b.size or len(a.facts) != len(b.facts):
         return None
-    searcher = _Searcher(a, b, budget, order_by_constraint=True, iso=True)
-    return next(searcher.embeddings(), None)
+    return _isomorphism_search(a, b, budget)
 
 
 class Embeddings(NamedTuple):
@@ -304,14 +424,14 @@ def enumerate_embeddings(a: Structish, b: Structish, cap: int,
     _same_signature(a, b)
     if a.size > b.size:
         return Embeddings([], True)
-    found = _Searcher(a, b, budget, order_by_constraint=False, iso=False).embeddings()
+    found = _Searcher(a, b, budget, order_by_constraint=False).embeddings()
     morphisms = list(islice(found, cap))
     return Embeddings(morphisms, next(found, None) is None)
 
 
 def automorphisms(s: Structish, budget: int = DEFAULT_BUDGET) -> list[Morphism]:
     """Every automorphism (embeddings of a structure into itself are bijective)."""
-    return list(_Searcher(s, s, budget, order_by_constraint=False, iso=False).embeddings())
+    return list(_Searcher(s, s, budget, order_by_constraint=False).embeddings())
 
 
 def is_embedding(source: Structish, target: Structish, m: Morphism) -> bool:

@@ -134,6 +134,34 @@ def test_iso_round_trip(files):
     assert code == 0 and "found=yes" in out
 
 
+def test_iso_answers_pairs_colour_refinement_does_not_split(tmp_path):
+    # the prism C_32 x K_2 against the Moebius ladder on 64 vertices, both
+    # 3-regular, answer "no" within 200 nodes; the codings of C2's hardest
+    # pair answer "yes"
+    def undirected(size, pairs):
+        return DiGraph.of(size, [e for u, v in pairs for e in ((u, v), (v, u))])
+
+    n = 32
+    prism = undirected(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                       + [(n + i, n + (i + 1) % n) for i in range(n)]
+                       + [(i, n + i) for i in range(n)])
+    mobius = undirected(2 * n, [(j, (j + 1) % (2 * n)) for j in range(2 * n)]
+                        + [(j, j + n) for j in range(n)])
+    sig = Signature.of(("E", 2))
+    a = FinStructure.of(sig, 3, [("E", (0, 1)), ("E", (1, 0)), ("E", (2, 2))])
+    b = FinStructure.of(sig, 3, [("E", (0, 0)), ("E", (1, 2)), ("E", (2, 1))])
+    paths = {}
+    for name, g in (("prism", prism), ("mobius", mobius),
+                    ("a", coding.encode(a).graph), ("b", coding.encode(b).graph)):
+        paths[name] = tmp_path / f"{name}.g"
+        paths[name].write_text(serialize_graph(g))
+    code, out = run_cli(["iso", "--left", str(paths["prism"]), "--right", str(paths["mobius"]),
+                         "--budget", "200"])
+    assert code == 1 and "found=no" in out
+    code, out = run_cli(["iso", "--left", str(paths["a"]), "--right", str(paths["b"])])
+    assert code == 0 and "found=yes" in out
+
+
 def test_reduce_f_then_decode_f(files, tmp_path):
     code, restriction = run_cli([
         "reduce-f", "--graph", files["k2.g"], "--restrict", "30", "--nu-bound", "2",

@@ -8,7 +8,14 @@ import pytest
 
 from structcode import corpus, efgames, search
 from structcode.coding import encode, is_graph_embedding
-from structcode.core import BudgetExhausted, DiGraph, FinStructure, Signature, structure_of_graph
+from structcode.core import (
+    BudgetExhausted,
+    DiGraph,
+    FinStructure,
+    Morphism,
+    Signature,
+    structure_of_graph,
+)
 from structcode.efgames import GameSolver, equiv_n
 from structcode.search import (
     _joint_colors,
@@ -195,7 +202,8 @@ def test_large_embedding_small_budget_builds_nothing_quadratic():
 
 # ---------------------------------------------------------------------------
 # golden search node counts, recorded from the search that read each
-# structure's facts through _facts_by_elem and _profile
+# structure's facts through _facts_by_elem and _profile; the iso and coded
+# counts from the individualization-refinement search
 
 
 def _near_copy(rng, s):
@@ -265,15 +273,15 @@ def golden_answer(call, args, cap, budget):
 # (kind, seed, nodes, embeddings found); 0 nodes means no node was
 # searched: a size or fact-count mismatch, or unbalanced colours
 GOLDEN_SEARCHES = [
-    ("iso", 0, 8, 1), ("iso", 1, 0, 0), ("iso", 2, 9, 1), ("iso", 3, 100, 0),
-    ("iso", 4, 7, 1), ("iso", 5, 0, 0), ("iso", 6, 10, 1), ("iso", 7, 0, 0),
-    ("iso", 8, 7, 1), ("iso", 9, 29, 0), ("iso", 10, 9, 1), ("iso", 11, 0, 0),
-    ("iso", 12, 8, 1), ("iso", 13, 0, 0), ("iso", 14, 9, 1), ("iso", 15, 100, 0),
-    ("coded", 0, 49, 1), ("coded", 1, 25, 1), ("coded", 2, 19, 1), ("coded", 3, 25, 1),
-    ("coded", 4, 19, 1), ("coded", 5, 0, 0), ("coded", 6, 45, 1), ("coded", 7, 19, 1),
-    ("coded", 8, 76, 1), ("coded", 9, 0, 0), ("coded", 10, 76, 1), ("coded", 11, 28, 1),
-    ("coded", 12, 28, 1), ("coded", 13, 28, 1), ("coded", 14, 25, 1),
-    ("coded", 15, 19, 1),
+    ("iso", 0, 2, 1), ("iso", 1, 0, 0), ("iso", 2, 2, 1), ("iso", 3, 10, 0),
+    ("iso", 4, 1, 1), ("iso", 5, 0, 0), ("iso", 6, 3, 1), ("iso", 7, 0, 0),
+    ("iso", 8, 1, 1), ("iso", 9, 8, 0), ("iso", 10, 1, 1), ("iso", 11, 0, 0),
+    ("iso", 12, 2, 1), ("iso", 13, 0, 0), ("iso", 14, 3, 1), ("iso", 15, 10, 0),
+    ("coded", 0, 1, 1), ("coded", 1, 2, 1), ("coded", 2, 1, 1), ("coded", 3, 2, 1),
+    ("coded", 4, 1, 1), ("coded", 5, 0, 0), ("coded", 6, 1, 1), ("coded", 7, 1, 1),
+    ("coded", 8, 1, 1), ("coded", 9, 0, 0), ("coded", 10, 2, 1), ("coded", 11, 1, 1),
+    ("coded", 12, 1, 1), ("coded", 13, 1, 1), ("coded", 14, 2, 1),
+    ("coded", 15, 1, 1),
     ("embed", 0, 1, 1), ("embed", 1, 1, 0), ("embed", 2, 8, 1), ("embed", 3, 3, 1),
     ("embed", 4, 8, 1), ("embed", 5, 17, 0), ("embed", 6, 4, 1), ("embed", 7, 1, 0),
     ("embed", 8, 4, 1), ("embed", 9, 3, 1), ("embed", 10, 3, 1), ("embed", 11, 2, 0),
@@ -306,6 +314,133 @@ def test_isomorphism_search_depth_does_not_recurse():
     m = find_isomorphism(g, g)
     assert m is not None and m.is_bijective()
     assert is_graph_embedding(g, g, m)
+
+
+# ---------------------------------------------------------------------------
+# individualization-refinement on pairs that colour refinement alone does
+# not split, and on large symmetric pairs whose classes stay large
+
+
+def _undirected(size, pairs):
+    return DiGraph.of(size, [e for u, v in pairs for e in ((u, v), (v, u))])
+
+
+def prism(n):
+    """C_n x K_2: two n-cycles with a rung between their i-th vertices."""
+    return _undirected(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                       + [(n + i, n + (i + 1) % n) for i in range(n)]
+                       + [(i, n + i) for i in range(n)])
+
+
+def mobius_ladder(n):
+    """A 2n-cycle with a chord between each pair of opposite vertices."""
+    return _undirected(2 * n, [(j, (j + 1) % (2 * n)) for j in range(2 * n)]
+                       + [(j, j + n) for j in range(n)])
+
+
+def permuted_graph(g, seed=5):
+    return corpus.random_permuted_graph(random.Random(seed), g)[0]
+
+
+def test_c2_hardest_pair_is_found_in_a_few_nodes():
+    # C2's pair 376: the backtracking search over colour classes took
+    # 306,280 nodes on these two codings
+    a = FinStructure.of(SIG, 3, [("E", (0, 1)), ("E", (1, 0)), ("E", (2, 2))])
+    b = FinStructure.of(SIG, 3, [("E", (0, 0)), ("E", (1, 2)), ("E", (2, 1))])
+    ga, gb = encode(a).graph, encode(b).graph
+    m = find_isomorphism(ga, gb, budget=10)
+    assert m is not None and m.is_bijective() and is_graph_embedding(ga, gb, m)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 32])
+def test_prism_against_mobius_ladder(n):
+    # Both are 3-regular on 2n vertices, so the root is one class of 4n.
+    # Individualizing vertex 0 with each of the 2n targets and refining
+    # unbalances every branch; the backtracking search over colour classes
+    # took 1,185, 8,881 and 22,513 nodes at n = 8, 12 and 14
+    assert find_isomorphism(prism(n), mobius_ladder(n), budget=4 * n + 1) is None
+    p = prism(n)
+    q = permuted_graph(p)
+    m = find_isomorphism(p, q, budget=5)
+    assert m is not None and is_isomorphism(p, q, m)
+
+
+def frucht():
+    """The Frucht graph: cubic on 12 vertices, with no automorphism but
+    the identity (LCF notation [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2])."""
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    return _undirected(12, [(i, (i + 1) % 12) for i in range(12)]
+                       + [(i, (i + d) % 12) for i, d in enumerate(lcf)])
+
+
+def test_rigid_cubic_graph_against_permuted_copies():
+    # Refinement leaves one class of 24, and vertex 0 has one right target
+    # in each copy. Every candidate is tried once, whatever the order that
+    # backtracking leaves the class's target list in, and each wrong one is
+    # pruned by its refinement: the root and at most 12 nodes
+    g = frucht()
+    assert len(automorphisms(g)) == 1
+    for seed in range(40):
+        h = permuted_graph(g, seed)
+        m = find_isomorphism(g, h, budget=13)
+        assert m is not None and is_isomorphism(g, h, m)
+
+
+SYMMETRIC = {
+    "edgeless": DiGraph.of(2000),
+    "loops": DiGraph.of(2000, [(i, i) for i in range(2000)], allow_loops=True),
+    "matching": _undirected(2000, [(2 * i, 2 * i + 1) for i in range(1000)]),
+    "cycle": DiGraph.of(2000, [(i, (i + 1) % 2000) for i in range(2000)]),
+    "triangles": DiGraph.of(1998, [(3 * i + j, 3 * i + (j + 1) % 3)
+                                   for i in range(666) for j in range(3)]),
+}
+
+
+def traced(call):
+    """(call's answer or the BudgetExhausted it raised, tracemalloc peak)."""
+    tracemalloc.start()
+    try:
+        try:
+            answer = call()
+        except BudgetExhausted as err:
+            answer = err
+        return answer, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_symmetric_families_take_linear_nodes_and_memory(name):
+    # Each individualization fixes one orbit: a vertex, a matched pair, a
+    # triangle, or the whole directed cycle. One colouring is kept and
+    # unwound, so memory stays linear; a search that copied the colouring
+    # at each node took 139 MB on the edgeless pair
+    g = SYMMETRIC[name]
+    h = permuted_graph(g)
+    m, peak = traced(lambda: find_isomorphism(g, h, budget=g.size + 1))
+    assert isinstance(m, Morphism) and is_graph_embedding(g, h, m)
+    assert peak < 6_000_000
+
+
+@pytest.mark.parametrize("name", [name for name in SYMMETRIC if name != "cycle"])
+def test_symmetric_families_small_budget_builds_nothing_quadratic(name):
+    # as test_large_embedding_small_budget_builds_nothing_quadratic; the
+    # directed cycle is discrete after one individualization (2 nodes), so
+    # a budget of 10 does not run out on it
+    g = SYMMETRIC[name]
+    h = permuted_graph(g)
+    err, peak = traced(lambda: find_isomorphism(g, h, budget=10))
+    assert isinstance(err, BudgetExhausted) and err.used == 11
+    assert peak < 2_000_000
+
+
+def test_directed_cycle_is_discrete_after_one_individualization():
+    g = SYMMETRIC["cycle"]
+    h = permuted_graph(g)
+    assert find_isomorphism(g, h, budget=2) is not None
+    with pytest.raises(BudgetExhausted) as err:
+        find_isomorphism(g, h, budget=1)
+    assert err.value.used == 2
 
 
 # ---------------------------------------------------------------------------
@@ -676,17 +811,18 @@ def reference_search(a, b, budget):
 
 
 def searched(a, b, budget):
-    """find_isomorphism's answer with the nodes of the _Searcher behind it."""
-    if a.size != b.size or len(a.facts) != len(b.facts):
-        assert find_isomorphism(a, b, budget=budget) is None
-        return None, None
-    searcher = _Searcher(a, b, budget, order_by_constraint=True, iso=True)
+    """find_isomorphism's answer as a mapping, None or "exhausted". A map
+    found must pass is_isomorphism and keep each element's joint colour."""
     try:
-        m = next(searcher.embeddings(), None)
-        assert find_isomorphism(a, b, budget=budget) == m
+        m = find_isomorphism(a, b, budget=budget)
     except BudgetExhausted:
-        return "exhausted", searcher.nodes
-    return (None if m is None else m.mapping()), searcher.nodes
+        return "exhausted"
+    if m is None:
+        return None
+    color, balanced = _joint_colors(_union_rows(a, b), a.size)
+    assert balanced and is_isomorphism(a, b, m)
+    assert all(color[x] == color[a.size + y] for x, y in m.pairs)
+    return m.mapping()
 
 
 def _repeated_elements(rng, size):
@@ -765,10 +901,33 @@ def test_union_rows_match_per_structure_refinement_and_search():
         want_colors, want_balanced = reference_colors(a, b)
         assert (partition_of(color), balanced) == (partition_of(want_colors), want_balanced)
         got = searched(a, b, budget=2_000)
-        if got[1] is not None:
-            assert got == reference_search(a, b, budget=2_000)
-        seen.setdefault(kind, set()).add((balanced, got[0] is None))
+        if a.size == b.size and len(a.facts) == len(b.facts):
+            want = reference_search(a, b, budget=20_000)[0]
+        else:
+            want = None
+        assert "exhausted" not in (got, want) and (got is None) == (want is None)
+        seen.setdefault(kind, set()).add((balanced, got is None))
     assert sum(map(len, seen.values())) >= 16 and len(seen) == 8
+
+
+def test_regular_pairs_match_the_reference():
+    # prisms, Moebius ladders and two-step circulants are regular, so
+    # colour refinement leaves each side one class and the search decides
+    rng = random.Random(83)
+    pairs = []
+    for n in range(3, 9):
+        p, q = prism(n), mobius_ladder(n)
+        pairs += [(p, q), (p, permuted_graph(p, n)), (q, permuted_graph(q, n))]
+    for _ in range(30):
+        a = _circulant(rng, SIG, rng.randint(8, 12))
+        pairs.append((a, _circulant(rng, SIG, a.size)))
+    answers = set()
+    for a, b in pairs:
+        got = searched(a, b, budget=2_000)
+        want = reference_search(a, b, budget=20_000)[0]
+        assert "exhausted" not in (got, want) and (got is None) == (want is None)
+        answers.add(got is None)
+    assert answers == {True, False}
 
 
 def test_equiv_n_matches_a_solver_on_reference_colours():
