@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable, Optional
 
 from .core import BudgetExhausted, DiGraph, FinStructure, Morphism, Signature, atoms
@@ -36,7 +37,12 @@ class MalformedCoding(Exception):
 @dataclass(frozen=True)
 class CodedGraph:
     graph: DiGraph
-    provenance: tuple[tuple[int, Role], ...]
+    structure: FinStructure  # the structure encode coded
+
+    @cached_property
+    def provenance(self) -> tuple[tuple[int, Role], ...]:
+        """(v, role) for each vertex v, built on first read."""
+        return tuple(enumerate(_roles(self.structure)))
 
     def roles(self) -> dict[int, Role]:
         return dict(self.provenance)
@@ -103,11 +109,17 @@ def coded_size(sig: Signature, size: int) -> int:
 # thread-safe and caches no exception. Measured gain, with the list-built
 # edges below: coding-roundtrip 50.7 -> 113.2 verdicts/s (medians of 10
 # alternating pairs of 20 s runs, 2-core VM, Python 3.11.7). Size bound:
-# there, a coding holds up to 2.1 MB and its decoding up to 1.2 MB, 0.34 MB
-# a pair on average (tracemalloc), so 512 entries would hold about 170 MB.
+# over that workload's seed-1 structures, a coding holds up to 1.3 MB and its
+# decoding up to 0.35 MB, 0.17 MB a pair on average (tracemalloc), so 512
+# entries would hold about 86 MB; a coding whose provenance has been read
+# holds up to 1.2 MB more.
 @lru_cache(maxsize=2)
 def encode(s: FinStructure, budget: Optional[int] = None) -> CodedGraph:
     """Deterministic coding; vertex 0, 1, 2 are the hubs a, b, c.
+
+    Only the edges are built: each cycle, spoke run and chain goes in as a
+    run of consecutive vertices of encode's numbering. The vertices' roles
+    are built on first read of the coding's provenance.
 
     With a budget, raises BudgetExhausted before allocating anything when
     the coding would have more than budget vertices (see coded_size).
@@ -123,39 +135,46 @@ def encode(s: FinStructure, budget: Optional[int] = None) -> CodedGraph:
                                   used=used, budget=budget)
     offsets = chain_offsets(s.sig)
     a, b, c = 0, 1, 2
-    roles: list[Role] = [("A",), ("B",), ("C",)]
     edges: list[tuple[int, int]] = []  # distinct by construction
     for hub, tag in zip((a, b, c), CYCLE_TAGS):
-        first = len(roles)
+        first = CYCLE_START[tag]
         edges.append((hub, first))
-        for pos in range(tag):
-            roles.append(("cycle", tag, pos))
-            edges.append((first + pos, first + (pos + 1) % tag))
+        edges.extend(zip(range(first, first + tag), [*range(first + 1, first + tag), first]))
+    edges.extend(zip(repeat(a), range(ELEM_BASE, ELEM_BASE + s.size)))
 
-    elem_base = len(roles)
-    for x in range(s.size):
-        edges.append((a, len(roles)))
-        roles.append(("elem", x))
-
+    v = ELEM_BASE + s.size  # the next vertex
     # chain lengths at a relation's first tuple: none on an empty universe
     rel = None
     for name, tup in atoms(s.sig, range(s.size)):
         if name != rel:
             rel, lengths = name, interior_lengths(len(tup), offsets[name])
-        y = len(roles)
+        y = v
+        v += 1
+        for x, length in zip(tup, lengths):
+            end = v + length
+            edges.append((ELEM_BASE + x, v))
+            edges.extend(zip(range(v, end - 1), range(v + 1, end)))
+            edges.append((end - 1, y))
+            v = end
+        edges.append((y, b if s.holds(name, tup) else c))
+    return CodedGraph(DiGraph(v, frozenset(edges)), s)
+
+
+def _roles(s: FinStructure) -> list[Role]:
+    """The role of each vertex of encode(s), in encode's numbering."""
+    offsets = chain_offsets(s.sig)
+    roles: list[Role] = [("A",), ("B",), ("C",)]
+    for tag in CYCLE_TAGS:
+        roles.extend(("cycle", tag, pos) for pos in range(tag))
+    roles.extend(("elem", x) for x in range(s.size))
+    rel = None
+    for name, tup in atoms(s.sig, range(s.size)):
+        if name != rel:
+            rel, lengths = name, interior_lengths(len(tup), offsets[name])
         roles.append(("junction", name, tup))
         for k, length in enumerate(lengths, 1):
-            prev = elem_base + tup[k - 1]
-            for pos in range(1, length + 1):
-                v = len(roles)
-                edges.append((prev, v))
-                roles.append(("chain", name, tup, k, pos))
-                prev = v
-            edges.append((prev, y))
-        edges.append((y, b if s.holds(name, tup) else c))
-
-    graph = DiGraph(len(roles), frozenset(edges))
-    return CodedGraph(graph, tuple(enumerate(roles)))
+            roles.extend(("chain", name, tup, k, pos) for pos in range(1, length + 1))
+    return roles
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +186,14 @@ class DecodeResult:
     structure: FinStructure
     elements: tuple[int, ...]  # vertex of element index i, enumeration order
     image: tuple[int, ...]  # vertex v goes to image[v] in encode(structure)
-    provenance: tuple[tuple[int, Role], ...] = field(repr=False, compare=False)  # encode(structure)'s
+    coded: CodedGraph = field(repr=False, compare=False)  # encode(structure)
 
     @cached_property
     def roles(self) -> tuple[tuple[int, Role], ...]:
         """(v, role) for each vertex v: the coding's role at image[v], the
-        same object, so no role is built; the pairs are built on first use."""
-        provenance = self.provenance
+        same object. The pairs, and the coding's provenance if it has not
+        been read, are built on first use."""
+        provenance = self.coded.provenance
         return tuple(zip(range(len(self.image)), [provenance[i][1] for i in self.image]))
 
 
@@ -357,7 +377,7 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
     if (coded.graph.size != size or len(set(image)) != size or len(g.edges) != len(edges)
             or not all((image[u], image[v]) in edges for u, v in g.edges)):
         raise MalformedCoding("roles do not map the graph onto the coding of its decoding")
-    return DecodeResult(structure, tuple(elements), tuple(image), coded.provenance)
+    return DecodeResult(structure, tuple(elements), tuple(image), coded)
 
 
 def decode(g: DiGraph, sig: Optional[Signature] = None) -> FinStructure:
@@ -373,7 +393,7 @@ def canonical_iso(s: FinStructure) -> Morphism:
     enc = encode(s)
     res = decode_full(enc.graph, s.sig)
     position = {v: i for i, v in enumerate(res.elements)}
-    mapping = {role[1]: position[v] for v, role in enc.provenance if role[0] == "elem"}
+    mapping = {x: position[ELEM_BASE + x] for x in range(s.size)}
     m = Morphism.from_mapping(s.size, res.structure.size, mapping)
     if not (m.is_bijective() and is_embedding(s, res.structure, m)):
         raise MalformedCoding("round trip did not produce an isomorphism")

@@ -664,9 +664,12 @@ def simple_cycles(g: DiGraph) -> list[tuple[int, ...]]:
     time follows the number of simple paths rather than of cycles, which on
     dense SCCs is far larger. Self-loops (with allow_loops) are listed once
     each. Output is sorted, so it is deterministic and usable as a test
-    oracle.
+    oracle; a cycle's vertex sequence from its least vertex is fixed by the
+    cycle, so the successor lists need no order.
     """
-    out = _successors(g.size, g.edges)
+    out: list[list[int]] = [[] for _ in range(g.size)]
+    for u, v in g.edges:
+        out[u].append(v)
     cycles: list[tuple[int, ...]] = []
     if g.allow_loops:
         for u, v in g.edges:

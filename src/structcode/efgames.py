@@ -219,7 +219,7 @@ def equiv_n(left: Structish, right: Structish, n: int,
     maps (positions) solved.
     """
     assert n >= 0
-    color, _ = _joint_colors(_union_rows(left, right), left.size)
+    color, *_ = _joint_colors(_union_rows(left, right), left.size)
     solver = GameSolver(left, right, budget, colors=(color[:left.size], color[left.size:]))
     try:
         return solver.duplicator_wins((), min(n, len(solver.moves)))

@@ -163,9 +163,10 @@ def _refine(rows: list[Row], color: list[int], n: int, changed: Iterable[int],
     return False
 
 
-def _joint_colors(rows: list[Row], n: int) -> tuple[list[int], bool]:
+def _joint_colors(rows: list[Row], n: int) -> tuple[list[int], bool, list[int], list[int]]:
     """Stable colour refinement of the union a + b from the rows of
-    _union_rows(a, b), n = a.size: (colours, balanced).
+    _union_rows(a, b), n = a.size: (colours, balanced, and the class counts
+    of _class_counts, size and surplus, which _refine kept exact).
 
     Colours are ids shared by both sides, so an isomorphism maps each
     element to one of the same colour; the initial colour of an element is
@@ -175,7 +176,8 @@ def _joint_colors(rows: list[Row], n: int) -> tuple[list[int], bool]:
     ids: dict[tuple, int] = {}
     color = [ids.setdefault(_profile(row), len(ids)) for row in rows]
     size, surplus = _class_counts(color, n)
-    return color, not any(surplus) and _refine(rows, color, n, range(len(color)), size, surplus)
+    balanced = not any(surplus) and _refine(rows, color, n, range(len(color)), size, surplus)
+    return color, balanced, size, surplus
 
 
 def _isomorphism_search(a: Structish, b: Structish, budget: int) -> Optional[Morphism]:
@@ -205,10 +207,9 @@ def _isomorphism_search(a: Structish, b: Structish, budget: int) -> Optional[Mor
     """
     n = a.size
     rows = _union_rows(a, b)
-    color, balanced = _joint_colors(rows, n)
+    color, balanced, size, surplus = _joint_colors(rows, n)
     if not balanced:
         return None
-    size, surplus = _class_counts(color, n)
     targets: list[list[int]] = [[] for _ in size]
     where = [0] * len(rows)  # a target's index in its class's list
     for u in range(n, len(rows)):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import sys
 import tracemalloc
@@ -710,6 +711,71 @@ def test_render_role_format():
     assert render_role(("elem", 4)) == "role=Element x=4"
     assert render_role(("chain", "R", (1, 2, 3), 2, 1)) == "role=ChainNode R 1,2,3 k=2 pos=1"
     assert render_role(("junction", "R", (1, 2, 3))) == "role=Junction R 1,2,3"
+
+
+def eager_encode(s):
+    """The coding built vertex by vertex, each with its role, in encode's
+    order: the reference for encode's edges and its provenance built on
+    first read. Returns (graph, provenance)."""
+    offsets = chain_offsets(s.sig)
+    roles = [("A",), ("B",), ("C",)]
+    edges = []
+    for hub, tag in enumerate((3, 5, 7)):
+        first = len(roles)
+        edges.append((hub, first))
+        for pos in range(tag):
+            roles.append(("cycle", tag, pos))
+            edges.append((first + pos, first + (pos + 1) % tag))
+    elem_base = len(roles)
+    for x in range(s.size):
+        edges.append((0, len(roles)))
+        roles.append(("elem", x))
+    for name, arity in s.sig.relations:
+        for tup in itertools.product(range(s.size), repeat=arity):
+            y = len(roles)
+            roles.append(("junction", name, tup))
+            for k, length in enumerate(interior_lengths(arity, offsets[name]), 1):
+                prev = elem_base + tup[k - 1]
+                for pos in range(1, length + 1):
+                    edges.append((prev, len(roles)))
+                    prev = len(roles)
+                    roles.append(("chain", name, tup, k, pos))
+                edges.append((prev, y))
+            edges.append((y, 1 if s.holds(name, tup) else 2))
+    return DiGraph.of(len(roles), edges), tuple(enumerate(roles))
+
+
+def test_round_trip_builds_no_provenance():
+    rng = random.Random(67)
+    sigs = [None, Signature.of(("E", 2), ("F", 2)), Signature.of(("P", 1), ("Q", 1), ("E", 2))]
+    for i in range(60):
+        s = corpus.random_structure(rng, max_size=3, sig=sigs[i % 3])
+        encode.cache_clear()
+        decode_full.cache_clear()
+        enc = encode(s)
+        decode_full(enc.graph, s.sig)
+        canonical_iso(s)
+        lambda_graph(enc.graph, s.sig)
+        assert encode(s) is enc and "provenance" not in enc.__dict__
+        graph, provenance = eager_encode(s)
+        assert enc.graph == graph
+        assert enc.provenance == provenance
+        assert enc.roles() == dict(provenance)
+        assert enc.vertex_of() == {role: v for v, role in provenance}
+        assert render_provenance(enc) == "".join(f"v {v} {render_role(role)}\n"
+                                                 for v, role in provenance)
+
+
+def test_canonical_iso_matches_the_provenance_scan():
+    # element x's vertex is ELEM_BASE + x, where its ("elem", x) role is
+    rng = random.Random(71)
+    for _ in range(60):
+        s = corpus.random_structure(rng, max_size=4)
+        enc = encode(s)
+        res = decode_full(enc.graph, s.sig)
+        position = {v: i for i, v in enumerate(res.elements)}
+        scanned = {role[1]: position[v] for v, role in enc.provenance if role[0] == "elem"}
+        assert canonical_iso(s) == Morphism.from_mapping(s.size, res.structure.size, scanned)
 
 
 def test_provenance_lines_cover_every_vertex():

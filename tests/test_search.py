@@ -18,6 +18,7 @@ from structcode.core import (
 )
 from structcode.efgames import GameSolver, equiv_n
 from structcode.search import (
+    _class_counts,
     _joint_colors,
     _Searcher,
     _union_rows,
@@ -533,7 +534,9 @@ def partition_of(colors):
 
 
 def joint_partition(a, b):
-    color, balanced = _joint_colors(_union_rows(a, b), a.size)
+    color, balanced, size, surplus = _joint_colors(_union_rows(a, b), a.size)
+    # the class counts come back exact, as the isomorphism search reuses them
+    assert (size, surplus) == _class_counts(color, a.size)
     return partition_of(color), balanced
 
 
@@ -656,7 +659,7 @@ def test_refinement_work_is_near_linear_on_paths_and_cycles(monkeypatch, edges, 
 
     monkeypatch.setattr(search, "sorted", counting, raising=False)
     s = structure_of_graph(DiGraph.of(2000, edges))
-    _, balanced = _joint_colors(_union_rows(s, s), s.size)
+    _, balanced, _, _ = _joint_colors(_union_rows(s, s), s.size)
     assert balanced and len(calls) <= most
 
 
@@ -683,7 +686,7 @@ def test_refinement_row_reads_are_near_linear_on_paths_and_cycles(edges, most):
     # 4,004,000
     s = structure_of_graph(DiGraph.of(2000, edges))
     rows = _CountingRows(_union_rows(s, s))
-    _, balanced = _joint_colors(rows, s.size)
+    _, balanced, _, _ = _joint_colors(rows, s.size)
     assert balanced and rows.reads <= most
 
 
@@ -693,7 +696,7 @@ def test_isomorphism_respects_joint_colors():
         m = find_isomorphism(a, b)
         assert m is not None or not planted
         if m is not None:
-            color, balanced = _joint_colors(_union_rows(a, b), a.size)
+            color, balanced, _, _ = _joint_colors(_union_rows(a, b), a.size)
             assert balanced and is_isomorphism(a, b, m)
             assert all(color[x] == color[a.size + y] for x, y in m.pairs)
 
@@ -850,7 +853,7 @@ def searched(a, b, budget):
         return "exhausted"
     if m is None:
         return None
-    color, balanced = _joint_colors(_union_rows(a, b), a.size)
+    color, balanced, _, _ = _joint_colors(_union_rows(a, b), a.size)
     assert balanced and is_isomorphism(a, b, m)
     assert all(color[x] == color[a.size + y] for x, y in m.pairs)
     return m.mapping()
@@ -928,7 +931,7 @@ def test_union_rows_match_per_structure_refinement_and_search():
     rng = random.Random(61)
     seen = {}
     for kind, a, b in differential_pairs(rng):
-        color, balanced = _joint_colors(_union_rows(a, b), a.size)
+        color, balanced, _, _ = _joint_colors(_union_rows(a, b), a.size)
         want_colors, want_balanced = reference_colors(a, b)
         assert (partition_of(color), balanced) == (partition_of(want_colors), want_balanced)
         got = searched(a, b, budget=2_000)
@@ -1023,11 +1026,34 @@ def counted(monkeypatch, module, name, counter, call):
 
     with monkeypatch.context() as patch:
         patch.setattr(module, name, Recording)
-        try:
-            answer = call()
-        except BudgetExhausted as err:
-            answer = ("exhausted", err.used)
+        answer = answer_of(call)
     return answer, [getattr(x, counter) for x in made]
+
+
+def refine_calls(monkeypatch, call):
+    """(call's answer, or ("exhausted", used), and how often it ran
+    search._refine): the isomorphism search's work, one call for the root
+    colouring and one per individualization."""
+    calls = 0
+    refine = search._refine
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return refine(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_refine", counting)
+        answer = answer_of(call)
+    return answer, calls
+
+
+def answer_of(call):
+    """call's answer, or ("exhausted", used)."""
+    try:
+        return call()
+    except BudgetExhausted as err:
+        return ("exhausted", err.used)
 
 
 def exhausted(answer):
@@ -1055,7 +1081,6 @@ def test_graphs_search_and_play_as_their_structures(monkeypatch):
     # a DiGraph is read through its own sig, facts and holds; the answers
     # and the work done must be those of structure_of_graph's copy
     searches = {
-        "iso": lambda a, b, c: find_isomorphism(a, b, budget=300),
         "embed": lambda a, b, c: find_embedding(c, a, budget=300),
         "enum": lambda a, b, c: enumerate_embeddings(c, b, cap=5, budget=300),
         "aut": lambda a, b, c: automorphisms(a, budget=300),
@@ -1069,6 +1094,11 @@ def test_graphs_search_and_play_as_their_structures(monkeypatch):
     seen = set()
     for a, b, c in graph_pairs(rng):
         sa, sb, sc = map(structure_of_graph, (a, b, c))
+        got = refine_calls(monkeypatch, lambda: find_isomorphism(a, b, budget=300))
+        assert got == refine_calls(monkeypatch, lambda: find_isomorphism(sa, sb, budget=300))
+        # a found or exhausted search refined at least its root colouring
+        assert got[0] is None or got[1] > 0
+        seen.add(("iso", got[0] is None, exhausted(got[0])))
         for name, call in searches.items():
             got = counted(monkeypatch, search, "_Searcher", "nodes", lambda: call(a, b, c))
             assert got == counted(monkeypatch, search, "_Searcher", "nodes",
