@@ -18,7 +18,8 @@ class with each target of its class in turn, gives the two a fresh colour
 and refines from that split alone; a branch whose histograms differ is
 pruned. A partition into pairs gives the map, which is checked against
 the target's facts. The search keeps one colouring and unwinds it from a
-trail of class moves, so a node costs what its refinement re-keys.
+trail of class moves, so a node costs what its refinement re-keys, and a
+frame adds one C-level scan of the target side for its candidates.
 
 Each search, and efgames.equiv_n, reads the facts of both structures once,
 into per-element rows of their disjoint union (_union_rows: the source's
@@ -196,11 +197,12 @@ def _isomorphism_search(a: Structish, b: Structish, budget: int) -> Optional[Mor
 
     Every class move, the individualization's and _refine's, goes on the
     trail as (old class, group), in the order of the fresh ids, and
-    backtracking pops it. targets[c] lists class c's target elements. A
-    move swap-removes its targets from the old class's list, and spots
-    keeps each removal's position, so the pops put every list back in its
-    order. A frame is [x, x's class, next candidate index, trail length].
-    x only moves forward along a path, as classes only split going deeper.
+    backtracking pops it. A frame is [x, x's class c, next union index i,
+    trail length], with i starting at n. Unwinding to the frame restores
+    the colouring it was made at, so its next candidate is the first
+    target of class c at or past i, color.index(c, i); candidates are tried
+    in index order at every depth. x only moves forward along a path, as
+    classes only split going deeper.
 
     Nodes count the root and each individualization. BudgetExhausted is
     raised before the node past the budget does any work.
@@ -210,13 +212,7 @@ def _isomorphism_search(a: Structish, b: Structish, budget: int) -> Optional[Mor
     color, balanced, size, surplus = _joint_colors(rows, n)
     if not balanced:
         return None
-    targets: list[list[int]] = [[] for _ in size]
-    where = [0] * len(rows)  # a target's index in its class's list
-    for u in range(n, len(rows)):
-        where[u] = len(targets[color[u]])
-        targets[color[u]].append(u)
     trail: list[tuple[int, list[int]]] = []
-    spots: list[int] = []
     stack: list[list[int]] = []
     facts = b.facts
     nodes = 0
@@ -228,7 +224,6 @@ def _isomorphism_search(a: Structish, b: Structish, budget: int) -> Optional[Mor
                                   used=nodes, budget=budget)
         balanced = True
         if u is not None:
-            mark = len(trail)
             c = color[x]
             color[x] = color[u] = len(size)
             size[c] -= 2
@@ -236,26 +231,16 @@ def _isomorphism_search(a: Structish, b: Structish, budget: int) -> Optional[Mor
             surplus.append(0)
             trail.append((c, [x, u]))
             balanced = _refine(rows, color, n, (x, u), size, surplus, trail)
-            for old, group in trail[mark:]:
-                moved = group[bisect_left(group, n):]
-                pool = targets[old]
-                for t in moved:
-                    p = where[t]
-                    spots.append(p)
-                    last = pool.pop()
-                    if last != t:
-                        pool[p] = last
-                        where[last] = p
-                for i, t in enumerate(moved):
-                    where[t] = i
-                targets.append(moved)
         if balanced:
             while x < n and size[color[x]] == 2:
                 x += 1
             if x < n:
-                stack.append([x, color[x], 0, len(trail)])
+                stack.append([x, color[x], n, len(trail)])
             else:
-                image = [targets[c][0] - n for c in color[:n]]
+                target = [0] * len(size)
+                for t in range(n, len(color)):
+                    target[color[t]] = t - n
+                image = [target[c] for c in color[:n]]
                 get = image.__getitem__
                 if all((name, tuple(map(get, tup))) in facts for name, tup in a.facts):
                     return Morphism(n, n, tuple(enumerate(image)))
@@ -265,25 +250,17 @@ def _isomorphism_search(a: Structish, b: Structish, budget: int) -> Optional[Mor
             x, c, i, mark = frame
             while len(trail) > mark:
                 old, group = trail.pop()
-                pool = targets[old]
-                for t in reversed(targets.pop()):
-                    p = spots.pop()
-                    if p < len(pool):
-                        where[pool[p]] = len(pool)
-                        pool.append(pool[p])
-                        pool[p] = t
-                    else:
-                        pool.append(t)
-                    where[t] = p
                 for y in group:
                     color[y] = old
                 size[old] += size.pop()
                 surplus[old] += surplus.pop()
-            if i < len(targets[c]):
-                frame[2] = i + 1
-                u = targets[c][i]
-                break
-            stack.pop()
+            try:
+                u = color.index(c, i)
+            except ValueError:
+                stack.pop()
+                continue
+            frame[2] = u + 1
+            break
         else:
             return None
 

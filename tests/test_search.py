@@ -407,9 +407,9 @@ def frucht():
 
 def test_rigid_cubic_graph_against_permuted_copies():
     # Refinement leaves one class of 24, and vertex 0 has one right target
-    # in each copy. Every candidate is tried once, whatever the order that
-    # backtracking leaves the class's target list in, and each wrong one is
-    # pruned by its refinement: the root and at most 12 nodes
+    # in each copy. Its candidates are tried once each, in index order, and
+    # each wrong one is pruned by its refinement: the root and at most 12
+    # nodes
     g = frucht()
     assert len(automorphisms(g)) == 1
     for seed in range(40):
@@ -473,6 +473,21 @@ def test_directed_cycle_is_discrete_after_one_individualization():
     with pytest.raises(BudgetExhausted) as err:
         find_isomorphism(g, h, budget=1)
     assert err.value.used == 2
+
+
+def test_structure_against_itself_gets_the_identity():
+    # Refinement of s + s gives x and its copy n + x one colour, and the
+    # candidates of every frame are tried in index order, so the first
+    # candidate for x is n + x: no branch is pruned and the leaf is the
+    # identity. A search that tried them in the order its swap-removes
+    # left mapped DiGraph.of(3) by 0 -> 0, 1 -> 2, 2 -> 1
+    rng = random.Random(53)
+    selves = [DiGraph.of(3), *SYMMETRIC.values()]
+    for _ in range(100):
+        s = corpus.random_structure(rng, max_size=5)
+        selves += [s, encode(s).graph]
+    for s in selves:
+        assert find_isomorphism(s, s, budget=s.size + 1) == Morphism.identity(s.size)
 
 
 # ---------------------------------------------------------------------------
