@@ -185,7 +185,8 @@ def cmd_embed(args) -> int:
         print(f"count={len(result.morphisms)} complete={'yes' if result.complete else 'no'}")
         for i, m in enumerate(result.morphisms):
             print(f"embedding={i} " + " ".join(f"{s}:{t}" for s, t in m.pairs))
-        return 0 if result.morphisms else 1
+        # an incomplete enumeration stopped at the cap, so an embedding exists
+        return 0 if result.morphisms or not result.complete else 1
     return _print_found(search.find_embedding(source, target, budget=args.budget))
 
 
@@ -213,6 +214,7 @@ def cmd_shelah(args) -> int:
         for e in shelah.enumerate_elems(args.tail, args.count):
             print(e)
     elif action == "closure":
+        shelah.closure_size(args.bound, args.budget, "closure")
         elems = sorted(shelah.closure(shelah.SElem.parse(args.elem), args.bound),
                        key=shelah.elem_index)
         print(f"size={len(elems)}")
@@ -408,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-bound", type=_count, default=None)
     p.add_argument("--log2-size", type=_count, default=3)
     p.add_argument("--budget", type=_count, default=budget,
-                   help="game: budget in pebble sets (and elements), checked before building")
+                   help="game: budget in pebble sets (and elements); closure: budget in "
+                   "elements; checked before building")
     p.set_defaults(fn=cmd_shelah)
 
     p = sub.add_parser("limit-demo", help="stage-wise limit construction demo")

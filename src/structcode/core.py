@@ -357,6 +357,8 @@ def restrict(
     the handle list when the tuple count (elements^arity summed over the
     relations) exceeds query_budget; the count runs while the relations are
     enumerated, so the relation that goes over is the last one asked for.
+    A relation counts at least 1, so with no elements the budget still stops
+    an infinite or long enumeration of relations.
     """
     if rel_bound is None:
         if oracle.num_relations is None:
@@ -366,7 +368,7 @@ def restrict(
     rels = []
     tuples = 0
     for name, arity in oracle.relations(rel_bound):
-        tuples += cap ** arity
+        tuples += cap ** arity or 1
         if query_budget is not None and tuples > query_budget:
             raise BudgetExhausted(
                 f"restrict exceeded {query_budget} oracle queries", used=tuples, budget=query_budget

@@ -7,11 +7,13 @@ identical corpora, which the CLI's determinism guarantee relies on.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterable, Optional, TypeVar
 
-from .core import DiGraph, FinStructure, Morphism, Signature, atoms
+from .core import DiGraph, Fact, FinStructure, Morphism, Signature, atoms
 
 _REL_NAMES = ("R", "S", "T", "U")
+
+Struct = TypeVar("Struct", FinStructure, DiGraph)
 
 
 def random_signature(rng: random.Random, max_relations: int = 3, max_arity: int = 3) -> Signature:
@@ -48,23 +50,21 @@ def random_graph(rng: random.Random, max_size: int = 6, min_size: int = 0) -> Di
     return DiGraph.of(size, edges)
 
 
-def random_permuted_copy(rng: random.Random, s: FinStructure) -> tuple[FinStructure, Morphism]:
-    """An isomorphic copy via a random permutation, plus the witnessing map."""
+def _like(s: Struct, size: int, facts: Iterable[Fact]) -> Struct:
+    """A structure of s's kind on size elements: a DiGraph keeps its
+    allow_loops and takes the tuples of facts as edges, a FinStructure its sig."""
+    if isinstance(s, DiGraph):
+        return DiGraph(size, frozenset(tup for _, tup in facts), s.allow_loops)
+    return FinStructure(s.sig, size, frozenset(facts))
+
+
+def random_permuted_copy(rng: random.Random, s: Struct) -> tuple[Struct, Morphism]:
+    """An isomorphic copy of a structure or graph via a random permutation,
+    in the kind it was given, plus the witnessing map."""
     perm = list(range(s.size))
     rng.shuffle(perm)
-    facts = frozenset(
-        (name, tuple(perm[x] for x in tup)) for name, tup in s.facts
-    )
-    copy = FinStructure(s.sig, s.size, facts)
-    return copy, Morphism.from_mapping(s.size, s.size, {i: perm[i] for i in range(s.size)})
-
-
-def random_permuted_graph(rng: random.Random, g: DiGraph) -> tuple[DiGraph, Morphism]:
-    perm = list(range(g.size))
-    rng.shuffle(perm)
-    edges = frozenset((perm[u], perm[v]) for u, v in g.edges)
-    copy = DiGraph(g.size, edges, g.allow_loops)
-    return copy, Morphism.from_mapping(g.size, g.size, {i: perm[i] for i in range(g.size)})
+    copy = _like(s, s.size, ((name, tuple(perm[x] for x in tup)) for name, tup in s.facts))
+    return copy, Morphism(s.size, s.size, tuple(enumerate(perm)))
 
 
 def random_embedded_pair(
@@ -85,46 +85,33 @@ def random_graph_embedding(
 ) -> tuple[DiGraph, DiGraph, Morphism]:
     """(source, target, embedding): source an induced subgraph of target."""
     target = random_graph(rng, max_size, min_size)
-    source, h = random_induced_subgraph(rng, target)
+    source, h = random_induced_substructure(rng, target)
     return source, target, h
 
 
-def random_induced_substructure(
-    rng: random.Random, target: FinStructure
-) -> tuple[FinStructure, Morphism]:
-    """Carve a random induced substructure out of a given structure."""
+def random_induced_substructure(rng: random.Random, target: Struct) -> tuple[Struct, Morphism]:
+    """Carve a random induced substructure (or subgraph) out of a given
+    structure (or graph), in the kind it was given."""
     k = rng.randint(0, target.size)
     chosen = sorted(rng.sample(range(target.size), k))
     back = {v: i for i, v in enumerate(chosen)}
-    facts = frozenset(
-        (name, tuple(back[x] for x in tup))
-        for name, tup in target.facts
-        if all(x in back for x in tup)
-    )
-    source = FinStructure(target.sig, k, facts)
-    return source, Morphism.from_mapping(k, target.size, {i: chosen[i] for i in range(k)})
+    source = _like(target, k, ((name, tuple(back[x] for x in tup))
+                               for name, tup in target.facts if all(x in back for x in tup)))
+    return source, Morphism(k, target.size, tuple(enumerate(chosen)))
 
 
-def random_induced_subgraph(rng: random.Random, target: DiGraph) -> tuple[DiGraph, Morphism]:
-    """Carve a random induced subgraph out of a given graph."""
-    k = rng.randint(0, target.size)
-    chosen = sorted(rng.sample(range(target.size), k))
-    back = {v: i for i, v in enumerate(chosen)}
-    edges = frozenset(
-        (back[u], back[v]) for u, v in target.edges if u in back and v in back
-    )
-    source = DiGraph(k, edges, target.allow_loops)
-    return source, Morphism.from_mapping(k, target.size, {i: chosen[i] for i in range(k)})
+# the graph names of the two samplers above
+random_permuted_graph = random_permuted_copy
+random_induced_subgraph = random_induced_substructure
 
 
-def random_induced_chain(rng: random.Random, top):
+def random_induced_chain(rng: random.Random, top: Struct):
     """(a, h1, b, h2, top): b induced in top, a induced in b, h1 and h2 the inclusions.
 
     top is a structure or a graph; each carve draws from rng in that order.
     """
-    carve = random_induced_subgraph if isinstance(top, DiGraph) else random_induced_substructure
-    b, h2 = carve(rng, top)
-    a, h1 = carve(rng, b)
+    b, h2 = random_induced_substructure(rng, top)
+    a, h1 = random_induced_substructure(rng, b)
     return a, h1, b, h2, top
 
 

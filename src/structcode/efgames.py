@@ -303,18 +303,10 @@ def verify_reduct_strategy(m: int, n: int, nu_bound: Optional[int] = None,
     raises BudgetExhausted before building them when the 2^log2_size
     elements or the pebble sets (see verify_duplicator_strategy) are over it.
     """
-    from .shelah import paired_reduct_restrictions
+    from .shelah import closure_size, paired_reduct_restrictions
 
     if budget is not None:
-        # past budget's bit length, 2^log2_size alone is over it, so it is not formed
-        if log2_size > budget.bit_length():
-            raise BudgetExhausted(f"strategy check needs more than {budget} elements",
-                                  budget=budget)
-        size = 1 << log2_size
-        if size > budget:
-            raise BudgetExhausted(f"strategy check needs {size} elements, more than {budget}",
-                                  used=size, budget=budget)
-        _check_pebble_sets(size, n, budget)
+        _check_pebble_sets(closure_size(log2_size, budget, "strategy check"), n, budget)
     if nu_bound is None:
         nu_bound = m
     left, right, strategy = paired_reduct_restrictions(m, nu_bound, log2_size)

@@ -195,7 +195,7 @@ def check_coding(seed: int, corpus_size: int) -> list[Check]:
     ok = True
     for _ in range(corpus_size):
         s = corpus.random_structure(rng, max_size=3)
-        g, _ = corpus.random_permuted_graph(rng, coding.encode(s).graph)
+        g, _ = corpus.random_permuted_copy(rng, coding.encode(s).graph)
         ok &= search.find_isomorphism(s, coding.decode(g, s.sig)) is not None
     checks.append(Check("coding.decode", ok, f"permuted_copies={corpus_size}"))
     ok = True
@@ -207,7 +207,7 @@ def check_coding(seed: int, corpus_size: int) -> list[Check]:
     ok = True
     for _ in range(corpus_size):
         s = corpus.random_structure(rng, max_size=2, max_relations=2, max_arity=2)
-        g, _ = corpus.random_permuted_graph(rng, coding.encode(s).graph)
+        g, _ = corpus.random_permuted_copy(rng, coding.encode(s).graph)
         lam = coding.lambda_graph(g, s.sig)
         ok &= coding.is_graph_embedding(g, coding.encode(coding.decode(g, s.sig)).graph, lam)
     checks.append(Check("coding.lambda_graph", ok, f"instances={corpus_size}"))

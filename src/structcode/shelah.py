@@ -13,7 +13,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import AtomOracle, Fact, FinStructure, Signature, all_strings, enum_string, xor_bits
+from .core import (
+    AtomOracle,
+    BudgetExhausted,
+    Fact,
+    FinStructure,
+    Signature,
+    all_strings,
+    enum_string,
+    xor_bits,
+)
 
 Nu = str  # a finite bit string indexing one XOR map / prefix relation
 
@@ -116,8 +125,10 @@ def closure(seed: SElem, max_len: int) -> set[SElem]:
 
     Fixpoint iteration; the result is the coset of seed under all strings
     supported on positions < max_len, hence has exactly 2^max_len members.
+    The generators are the max_len single-bit strings: F_mu after F_nu is
+    F_(nu XOR mu), so they generate every other map of length <= max_len.
     """
-    gens = list(all_strings(max_len))
+    gens = ["0" * i + "1" for i in range(max_len)]
     result = {seed}
     frontier = [seed]
     while frontier:
@@ -128,6 +139,19 @@ def closure(seed: SElem, max_len: int) -> set[SElem]:
                 result.add(y)
                 frontier.append(y)
     return result
+
+
+def closure_size(bound: int, budget: int, what: str) -> int:
+    """2^bound, the size of a closure at that bound; BudgetExhausted, naming
+    what needs it, when that is over budget. Past budget's bit length
+    2^bound alone is over it, so it is not formed."""
+    if bound > budget.bit_length():
+        raise BudgetExhausted(f"{what} needs more than {budget} elements", budget=budget)
+    size = 1 << bound
+    if size > budget:
+        raise BudgetExhausted(f"{what} needs {size} elements, more than {budget}",
+                              used=size, budget=budget)
+    return size
 
 
 def reduct_iso(m: int) -> Callable[[SElem], SElem]:
@@ -284,11 +308,12 @@ def paired_reduct_restrictions(
     """Matched restrictions of the two tag structures, closed under the flip map.
 
     Left universe is the closure of the all-zeros string under strings of
-    length <= log2_size; right universe is its image under reduct_iso(m), in
+    length <= log2_size, which is the first 2^log2_size tail-0 elements in
+    enumeration order; right universe is its image under reduct_iso(m), in
     the same order, so the translation strategy is the identity on indices.
     """
     h = reduct_iso(m)
-    left_elems = sorted(closure(ZERO, log2_size), key=elem_index)
+    left_elems = enumerate_elems(0, 1 << log2_size)
     right_elems = [h(x) for x in left_elems]
     left = reduct_restriction(left_elems, nu_bound)
     right = reduct_restriction(right_elems, nu_bound)

@@ -62,6 +62,15 @@ def test_encode_provenance_sidecar(files, tmp_path):
     assert any("role=ChainNode R" in line for line in lines)
 
 
+def test_encode_provenance_on_stdout(files):
+    # '-' appends the role lines to the graph on stdout
+    code, out = run_cli(["encode", "--structure", files["fig.st"], "--provenance", "-"])
+    coded = coding.encode(parse_structure(FIG))
+    assert code == 0
+    assert out == serialize_graph(coded.graph) + coding.render_provenance(coded)
+    assert "v 0 role=A\n" in out
+
+
 def test_encode_budget_exits_2_before_writing(files, tmp_path, capsys, monkeypatch):
     # sig R/3 over 3 elements codes as 18 + 3 + 27 * 13 = 372 vertices
     sidecar = tmp_path / "roles.txt"
@@ -111,6 +120,18 @@ def test_embed_all_counts(files):
     code, out = run_cli(["embed", "--source", files["k2.g"], "--target", files["k3.g"], "--all"])
     assert code == 0
     assert "count=6 complete=yes" in out
+
+
+def test_embed_all_cap_0_exits_0_when_an_embedding_exists(files, tmp_path):
+    # complete=no means the cap cut the enumeration short, so one exists
+    path = tmp_path / "p3.g"
+    path.write_text("graph 3\ne 0 1\ne 1 2\n")
+    code, out = run_cli(["embed", "--source", str(path), "--target", str(path),
+                         "--all", "--cap", "0"])
+    assert (code, out) == (0, "count=0 complete=no\n")
+    code, out = run_cli(["embed", "--source", files["k3.g"], "--target", files["k2.g"],
+                         "--all", "--cap", "0"])
+    assert (code, out) == (1, "count=0 complete=yes\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -310,6 +331,34 @@ def test_shelah_game_budget_exits_2_at_once(capsys, monkeypatch):
     assert (code, out) == (0, "strategy_wins=yes\n")
     monkeypatch.setenv("STRUCTCODE_BUDGET", "69")
     assert run_cli(["shelah", "game", "--rounds", "4"]) == (2, "")
+
+
+def test_shelah_closure_output():
+    code, out = run_cli(["shelah", "closure", "--elem", ":0", "--bound", "2"])
+    assert (code, out) == (0, "size=4\n:0\n1:0\n01:0\n11:0\n")
+
+
+def test_shelah_closure_budget_exits_2_at_once(capsys, monkeypatch):
+    # 2^40 elements are not formed: 40 is past the budget's bit length
+    code, out = run_cli(["shelah", "closure", "--bound", "40", "--budget", "1000"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: closure needs more than 1000 elements\n"
+    code, out = run_cli(["shelah", "closure", "--bound", "10", "--budget", "1023"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: closure needs 1024 elements, more than 1023\n"
+    code, out = run_cli(["shelah", "closure", "--bound", "10", "--budget", "1024"])
+    assert code == 0 and out.startswith("size=1024\n:0\n")
+    monkeypatch.setenv("STRUCTCODE_BUDGET", "3")
+    assert run_cli(["shelah", "closure", "--bound", "2"]) == (2, "")
+
+
+def test_reduce_f_on_no_points_is_budgeted(files, capsys):
+    # every relation counts at least one unit, so 0 points cannot sweep
+    # the 2^62 relations of nu-bound 60 one by one
+    code, out = run_cli(["reduce-f", "--graph", files["edge.g"], "--restrict", "0",
+                         "--nu-bound", "60", "--budget", "1000"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: restrict exceeded 1000 oracle queries\n"
 
 
 def test_limit_demo():

@@ -273,6 +273,19 @@ def test_restrict_budget_stops_relation_enumeration():
     assert (err.value.used, err.value.budget) == (12, 10)
 
 
+def test_restrict_budget_counts_each_relation_on_no_points():
+    # with 0 points every relation has 0 tuples; counted as 0, the budget
+    # never tripped while about 2^62 relations were enumerated one by one
+    from structcode.reduction import build_f_graph, reduction_rel_bound
+
+    with pytest.raises(BudgetExhausted) as err:
+        restrict(build_f_graph(DiGraph.of(2, [(0, 1)])), 0, reduction_rel_bound(60),
+                 query_budget=1000)
+    assert (err.value.used, err.value.budget) == (1001, 1000)
+    s = restrict(build_f_graph(DiGraph.of(2, [(0, 1)])), 0, rel_bound=3, query_budget=3)
+    assert (s.size, s.facts, len(s.sig.relations)) == (0, frozenset(), 3)
+
+
 def test_atoms_sweep_relations_in_order_then_tuples_in_product_order():
     sig = Signature.of(("S", 2), ("R", 1), ("T", 3))
     for elems in ([], [4], [1, 3], range(3)):
@@ -342,6 +355,25 @@ def test_round_trip_random_corpora():
         assert parse_structure(serialize_structure(s)) == s
         g = corpus.random_graph(rng, max_size=6)
         assert parse_graph(serialize_graph(g)) == g
+
+
+def test_samplers_return_the_kind_they_were_given():
+    # one body per sampler: a graph comes back a graph with its allow_loops,
+    # a structure a structure with its sig; the graph names are aliases
+    from structcode.search import is_embedding, is_isomorphism
+
+    rng = random.Random(17)
+    loops = DiGraph.of(3, [(0, 0), (0, 1), (2, 1)], allow_loops=True)
+    for _ in range(20):
+        for s in (corpus.random_structure(rng, max_size=4), corpus.random_graph(rng), loops):
+            copy, iso = corpus.random_permuted_copy(rng, s)
+            sub, h = corpus.random_induced_substructure(rng, s)
+            for got in (copy, sub):
+                assert type(got) is type(s) and got.sig == s.sig
+                assert getattr(got, "allow_loops", None) == getattr(s, "allow_loops", None)
+            assert is_isomorphism(s, copy, iso) and is_embedding(sub, s, h)
+    assert corpus.random_permuted_graph is corpus.random_permuted_copy
+    assert corpus.random_induced_subgraph is corpus.random_induced_substructure
 
 
 def test_load_any_sniffs_format():

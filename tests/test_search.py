@@ -115,6 +115,51 @@ def test_soundness_every_result_verifies():
         assert m is not None and is_embedding(a, b, m)
 
 
+# A 2-element source and a 3-element target that the identity on 0, 1
+# embeds it into, as graphs and as structures, and maps each verifier must
+# reject: every check but the one a case names passes on it.
+LINK_SIG = Signature.of(("R", 1), ("S", 2))
+VERIFIER_PAIRS = {
+    "graph": (DiGraph.of(2, [(0, 1)]), DiGraph.of(3, [(0, 1), (1, 2)]), DiGraph.of(2)),
+    "structure": (
+        FinStructure.of(LINK_SIG, 2, [("R", (0,)), ("S", (0, 1))]),
+        FinStructure.of(LINK_SIG, 3, [("R", (0,)), ("S", (0, 1)), ("S", (1, 2))]),
+        FinStructure.of(LINK_SIG, 2, [("R", (0,))]),
+    ),
+}
+IDENTITY = Morphism(2, 3, ((0, 0), (1, 1)))
+REJECTED = {
+    "not total": Morphism(2, 3, ((0, 0),)),
+    "source size": Morphism(3, 3, ((0, 0), (1, 1), (2, 2))),
+    "target size": Morphism(2, 4, ((0, 0), (1, 1))),
+    # 0, 2 have no fact between them in the target, so nothing is reflected
+    "preservation": Morphism(2, 3, ((0, 0), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFIER_PAIRS))
+def test_verifiers_reject_each_broken_condition(kind):
+    source, target, sparser = VERIFIER_PAIRS[kind]
+    verifiers = [is_embedding] + ([is_graph_embedding] if kind == "graph" else [])
+    for verify in verifiers:
+        assert verify(source, target, IDENTITY)
+        for why, m in REJECTED.items():
+            assert not verify(source, target, m), (verify.__name__, why)
+        # the source lacks the S/E fact on 0, 1 that the target has there
+        assert not verify(sparser, target, IDENTITY), (verify.__name__, "reflection")
+
+
+def test_is_embedding_rejects_another_signature():
+    # no fact on either side tells the signatures apart, so only the
+    # signature check can
+    other = Signature.of(("R", 1), ("T", 2))
+    source = FinStructure.of(LINK_SIG, 2, [("R", (0,))])
+    target = FinStructure.of(other, 3, [("R", (0,)), ("T", (0, 1))])
+    assert not is_embedding(source, target, IDENTITY)
+    assert not is_embedding(DiGraph.of(2), FinStructure.of(other, 3), IDENTITY)
+    assert is_embedding(DiGraph.of(2), structure_of_graph(DiGraph.of(3)), IDENTITY)
+
+
 def test_embeddability_reflexive_transitive():
     rng = random.Random(31)
     for _ in range(15):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from structcode.core import restrict, xor_bits
+from structcode.core import all_strings, restrict, xor_bits
 from structcode.shelah import (
     ONE,
     ZERO,
@@ -103,6 +103,41 @@ def test_closure_has_power_of_two_size(x, bound):
     got = closure(x, bound)
     assert len(got) == 1 << bound
     assert x in got
+
+
+def fixpoint_closure(seed, max_len):
+    """Reference closure: a fixpoint over every string of length <= max_len."""
+    gens = list(all_strings(max_len))
+    result, frontier = {seed}, [seed]
+    while frontier:
+        x = frontier.pop()
+        for nu in gens:
+            y = eval_F(nu, x)
+            if y not in result:
+                result.add(y)
+                frontier.append(y)
+    return result
+
+
+def test_closure_matches_fixpoint_over_all_strings():
+    # the single-bit generators reach what every string of length <= b does
+    rng = random.Random(29)
+    for b in range(7):
+        for _ in range(10):
+            x = nth_elem(rng.randint(0, 1), rng.randrange(200))
+            assert closure(x, b) == fixpoint_closure(x, b)
+
+
+def test_paired_universe_is_the_enumeration_prefix():
+    # the left universe is the closure of ZERO in index order, which is the
+    # first 2^b tail-0 elements
+    for b in range(7):
+        universe = sorted(fixpoint_closure(ZERO, b), key=elem_index)
+        assert enumerate_elems(0, 1 << b) == universe
+        left, right, strategy = paired_reduct_restrictions(1, 1, b)
+        assert left == reduct_restriction(universe, 1)
+        assert right == reduct_restriction([reduct_iso(1)(x) for x in universe], 1)
+        assert strategy == list(range(1 << b))
 
 
 def test_closure_reaches_generator():
