@@ -211,8 +211,8 @@ def cmd_shelah(args) -> int:
         print("holds=yes" if ok else "holds=no")
         return 0 if ok else 1
     elif action == "enum":
-        for e in shelah.enumerate_elems(args.tail, args.count):
-            print(e)
+        for k in range(args.count):
+            print(shelah.nth_elem(args.tail, k))
     elif action == "closure":
         shelah.closure_size(args.bound, args.budget, "closure")
         elems = sorted(shelah.closure(shelah.SElem.parse(args.elem), args.bound),

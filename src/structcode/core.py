@@ -71,14 +71,9 @@ def string_index(s: str) -> int:
 
 
 def all_strings(max_len: int) -> Iterator[str]:
-    """All bit strings of length <= max_len in length-lex order."""
-    k = 0
-    while True:
-        s = enum_string(k)
-        if len(s) > max_len:
-            return
-        yield s
-        k += 1
+    """All bit strings of length <= max_len in length-lex order: the first
+    2^(max_len+1) - 1 strings of enum_string, none for max_len < 0."""
+    return map(enum_string, range((1 << max(max_len + 1, 0)) - 1))
 
 
 def xor_bits(a: str, b: str) -> str:
@@ -355,25 +350,25 @@ def restrict(
     come from oracle.facts when the oracle has it, otherwise from asking
     holds on every tuple. Either way, raises BudgetExhausted before building
     the handle list when the tuple count (elements^arity summed over the
-    relations) exceeds query_budget; the count runs while the relations are
-    enumerated, so the relation that goes over is the last one asked for.
-    A relation counts at least 1, so with no elements the budget still stops
-    an infinite or long enumeration of relations.
+    relations) exceeds query_budget. A first pass counts over the relations
+    without keeping them, so the relation that goes over is the last one
+    asked for and memory does not grow with the budget; a second pass
+    collects them. A relation counts at least 1, so with no elements the
+    budget still stops an infinite or long enumeration of relations.
     """
     if rel_bound is None:
         if oracle.num_relations is None:
             raise ValueError("rel_bound required for an infinite signature")
         rel_bound = oracle.num_relations
     cap = oracle.element_count(n)
-    rels = []
-    tuples = 0
-    for name, arity in oracle.relations(rel_bound):
-        tuples += cap ** arity or 1
-        if query_budget is not None and tuples > query_budget:
-            raise BudgetExhausted(
-                f"restrict exceeded {query_budget} oracle queries", used=tuples, budget=query_budget
-            )
-        rels.append((name, arity))
+    if query_budget is not None:
+        tuples = 0
+        for _, arity in oracle.relations(rel_bound):
+            tuples += cap ** arity or 1
+            if tuples > query_budget:
+                raise BudgetExhausted(f"restrict exceeded {query_budget} oracle queries",
+                                      used=tuples, budget=query_budget)
+    rels = list(oracle.relations(rel_bound))
     sig = Signature(tuple(rels))
     handles = oracle.elements(n)
     if oracle.facts is not None:

@@ -83,19 +83,15 @@ def build_stage(approx: Approximation, i: int, s: int) -> StageStructure:
     assert s >= 0
     if s == 0:
         return StageStructure(0, ("",), ())
-    universe: list[str] = []
     # k <= s, so enum_string(k) has at most log2(s + 1) <= s bits
-    for k in range(s + 1):
-        term = norm_term(enum_string(k))
-        if term not in universe:
-            universe.append(term)
+    universe = tuple(dict.fromkeys(norm_term(enum_string(k)) for k in range(s + 1)))
     prefix = approx.string_prefix(i, s)
     facts = []
     for l in range(s + 1):
         mu = enum_string(l)
         for term in universe:
             facts.append(((mu, term), _prefix_holds(mu, prefix, term)))
-    return StageStructure(s, tuple(universe), tuple(sorted(facts)))
+    return StageStructure(s, universe, tuple(sorted(facts)))
 
 
 def _prefix_holds(mu: str, a_bits: str, term: str) -> bool:
@@ -181,10 +177,12 @@ def limit_restriction(approx: Approximation, i: int, stage: StageStructure,
 
 def decided_bound(stage: StageStructure) -> int:
     """Largest nu_bound with every prefix relation decided at this stage
-    (-1 for the bare stage 0)."""
+    (-1 for the bare stage 0).
+
+    Stage s >= 1 decides the strings of enum_string indices 0..s, and those
+    of length <= b are indices 0..2^(b+1) - 2, so b is the largest with
+    2^(b+1) <= s + 2.
+    """
     if stage.stage == 0:
         return -1
-    b = 0
-    while (1 << (b + 2)) - 2 <= stage.stage and b + 1 <= stage.stage:
-        b += 1
-    return b
+    return (stage.stage + 2).bit_length() - 2

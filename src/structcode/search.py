@@ -220,7 +220,7 @@ def _isomorphism_search(a: Structish, b: Structish, budget: int) -> Optional[Mor
     while True:
         nodes += 1
         if nodes > budget:
-            raise BudgetExhausted(f"embedding search exceeded {budget} nodes",
+            raise BudgetExhausted(f"isomorphism search exceeded {budget} nodes",
                                   used=nodes, budget=budget)
         balanced = True
         if u is not None:

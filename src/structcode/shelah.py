@@ -21,6 +21,7 @@ from .core import (
     Signature,
     all_strings,
     enum_string,
+    string_index,
     xor_bits,
 )
 
@@ -52,7 +53,7 @@ class SElem:
 
     def bits(self, n: int) -> str:
         """The first n bits of the infinite string."""
-        return "".join(str(self.bit(i)) for i in range(n))
+        return (self.prefix + str(self.tail) * n)[:n]
 
     def __str__(self) -> str:
         return f"{self.prefix}:{self.tail}"
@@ -77,7 +78,7 @@ def eval_F(nu: Nu, x: SElem) -> SElem:
 
 def holds_R(nu: Nu, x: SElem) -> bool:
     """True iff nu is an initial segment of x's infinite string."""
-    return all(x.bit(i) == int(nu[i]) for i in range(len(nu)))
+    return x.bits(len(nu)) == nu
 
 
 def holds_graphF(nu: Nu, x: SElem, y: SElem) -> bool:
@@ -95,50 +96,33 @@ def enumerate_elems(b: int, n: int) -> list[SElem]:
 def nth_elem(b: int, k: int) -> SElem:
     """k-th element of the tail-b structure under the length-lex enumeration.
 
-    Normalized prefixes of length l >= 1 end in 1-b, leaving 2^(l-1) choices;
-    index 0 is the empty prefix.
+    Index 0 is the empty prefix. A normalized prefix of length l >= 1 is a
+    body of length l - 1 followed by 1-b, so the elements past index 0 run
+    through the bodies in core's length-lex order.
     """
     assert k >= 0 and b in (0, 1)
     if k == 0:
         return SElem("", b)
-    k -= 1
-    length = 1
-    while k >= 1 << (length - 1):
-        k -= 1 << (length - 1)
-        length += 1
-    body = format(k, "b").zfill(length - 1) if length > 1 else ""
-    return SElem(body + str(1 - b), b)
+    return SElem(enum_string(k - 1) + str(1 - b), b)
 
 
 def elem_index(x: SElem) -> int:
     """Inverse of nth_elem for x within its own tail structure."""
     if not x.prefix:
         return 0
-    length = len(x.prefix)
-    body = x.prefix[:-1]
-    offset = int(body, 2) if body else 0
-    return 1 + ((1 << (length - 1)) - 1) + offset
+    return string_index(x.prefix[:-1]) + 1
 
 
 def closure(seed: SElem, max_len: int) -> set[SElem]:
     """Close {seed} under every XOR map indexed by a string of length <= max_len.
 
-    Fixpoint iteration; the result is the coset of seed under all strings
-    supported on positions < max_len, hence has exactly 2^max_len members.
-    The generators are the max_len single-bit strings: F_mu after F_nu is
-    F_(nu XOR mu), so they generate every other map of length <= max_len.
+    A shorter nu acts as nu padded with 0s to length max_len, and F_mu after
+    F_nu is F_(nu XOR mu), so the closure is the coset {F_nu(seed) : |nu| =
+    max_len}: exactly 2^max_len members, and {seed} for max_len <= 0. The
+    strings of length w are enum_string's indices 2^w - 1 to 2^(w+1) - 2.
     """
-    gens = ["0" * i + "1" for i in range(max_len)]
-    result = {seed}
-    frontier = [seed]
-    while frontier:
-        x = frontier.pop()
-        for nu in gens:
-            y = eval_F(nu, x)
-            if y not in result:
-                result.add(y)
-                frontier.append(y)
-    return result
+    width = max(max_len, 0)
+    return {eval_F(enum_string(k), seed) for k in range((1 << width) - 1, (2 << width) - 1)}
 
 
 def closure_size(bound: int, budget: int, what: str) -> int:
@@ -165,10 +149,7 @@ def reduct_iso(m: int) -> Callable[[SElem], SElem]:
 
     def h(x: SElem) -> SElem:
         n = max(m, len(x.prefix))
-        flipped = "".join(
-            str(x.bit(i)) if i < m else str(1 - x.bit(i)) for i in range(n)
-        )
-        return SElem.make(flipped, 1 - x.tail)
+        return SElem.make(xor_bits(x.bits(n), "0" * m + "1" * (n - m)), 1 - x.tail)
 
     return h
 
@@ -308,9 +289,10 @@ def paired_reduct_restrictions(
     """Matched restrictions of the two tag structures, closed under the flip map.
 
     Left universe is the closure of the all-zeros string under strings of
-    length <= log2_size, which is the first 2^log2_size tail-0 elements in
-    enumeration order; right universe is its image under reduct_iso(m), in
-    the same order, so the translation strategy is the identity on indices.
+    length <= log2_size: the tail-0 elements whose prefix has at most
+    log2_size bits, which are the first 2^log2_size in enumeration order.
+    Right universe is its image under reduct_iso(m), in the same order, so
+    the translation strategy is the identity on indices.
     """
     h = reduct_iso(m)
     left_elems = enumerate_elems(0, 1 << log2_size)

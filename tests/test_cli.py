@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import io
+import os
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
@@ -350,6 +352,40 @@ def test_shelah_closure_budget_exits_2_at_once(capsys, monkeypatch):
     assert code == 0 and out.startswith("size=1024\n:0\n")
     monkeypatch.setenv("STRUCTCODE_BUDGET", "3")
     assert run_cli(["shelah", "closure", "--bound", "2"]) == (2, "")
+
+
+def test_shelah_enum_prints_without_building_the_list():
+    # each element is printed as it is made; building the list first took
+    # 16 MB at this count (by tracemalloc) and 217 MB peak RSS at a million
+    sink = open(os.devnull, "w")
+    tracemalloc.start()
+    try:
+        with sink, redirect_stdout(sink):
+            code = cli.main(["shelah", "enum", "--tail", "1", "--count", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2_000_000
+
+
+# sha256 of stdout, recorded when the tag elements, closures and stage
+# universes were enumerated by loops of their own
+GOLDEN_LENGTH_LEX = {
+    ("shelah", "enum", "--tail", "1", "--count", "2000"):
+        "397d0a783723c09e522f8a84f0bb51bfd38097dd7ac111ace6aa75b4d7f6ce89",
+    ("shelah", "closure", "--elem", "0110:1", "--bound", "8"):
+        "6e541163ffba0ca6c6041b85d817acf6ffb3182e653118973fe670a01a2c7f28",
+    ("limit-demo", "--pattern", "0110101", "--stages", "60"):
+        "bf256ef94d583570bd301bb5c63e940ef7cdbaae56dffdbfa320d0e318842185",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_LENGTH_LEX), ids=" ".join)
+def test_golden_length_lex_outputs(argv):
+    code, out = run_cli(list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LENGTH_LEX[argv]
 
 
 def test_reduce_f_on_no_points_is_budgeted(files, capsys):

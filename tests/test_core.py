@@ -79,6 +79,10 @@ def test_enum_string_bijective():
 def test_all_strings_is_length_lex():
     got = list(all_strings(2))
     assert got == ["", "0", "1", "00", "01", "10", "11"]
+    assert list(all_strings(-1)) == []
+    assert list(all_strings(0)) == [""]
+    # the reference builds each length with product, sharing no code with enum_string
+    assert list(all_strings(7)) == ["".join(t) for n in range(8) for t in product("01", repeat=n)]
 
 
 @given(st.text(alphabet="01", max_size=12), st.text(alphabet="01", max_size=12))
@@ -284,6 +288,23 @@ def test_restrict_budget_counts_each_relation_on_no_points():
     assert (err.value.used, err.value.budget) == (1001, 1000)
     s = restrict(build_f_graph(DiGraph.of(2, [(0, 1)])), 0, rel_bound=3, query_budget=3)
     assert (s.size, s.facts, len(s.sig.relations)) == (0, frozenset(), 3)
+
+
+def test_restrict_budget_keeps_no_relation_before_it_trips():
+    # with 0 points each relation counts 1, so 10^5 relations are counted
+    # before the budget trips; keeping them on the way took about 12 MB here
+    # and 162 MB peak RSS at a budget of 10^6
+    oracle = AtomOracle(relation=lambda i: (f"U{i}", 1), element=lambda i: i,
+                        holds=lambda name, tup: True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted) as err:
+            restrict(oracle, 0, rel_bound=10**9, query_budget=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.used, err.value.budget) == (10**5 + 1, 10**5)
+    assert peak < 1_000_000
 
 
 def test_atoms_sweep_relations_in_order_then_tuples_in_product_order():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 from structcode import corpus
 from structcode.limits import (
@@ -130,3 +131,20 @@ def test_decided_bound():
     assert decided_bound(build_stage(ZERO_APPROX, 0, 2)) == 1
     assert decided_bound(build_stage(ZERO_APPROX, 0, 14)) == 3
     assert decided_bound(build_stage(ZERO_APPROX, 0, 30)) == 4
+
+
+def decided_by_definition(stage):
+    """Largest b with R_mu decided on every term for each |mu| <= b, or -1;
+    the strings of each length come from product, not from enum_string."""
+    b = -1
+    while all(stage.decided("".join(mu), term)
+              for mu in product("01", repeat=b + 1) for term in stage.universe):
+        b += 1
+    return b
+
+
+def test_decided_bound_matches_its_definition():
+    approx = Approximation.from_pattern("0110101")
+    for s in range(201):
+        stage = build_stage(approx, 0, s)
+        assert decided_bound(stage) == decided_by_definition(stage), s

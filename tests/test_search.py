@@ -229,6 +229,14 @@ def test_budget_exhaustion_reports_nodes():
     assert (err.value.used, err.value.budget) == (3, 2)
 
 
+def test_isomorphism_budget_exhaustion_names_its_search():
+    # the root is node 1 and matching vertex 0 with a first target is node 2
+    with pytest.raises(BudgetExhausted) as err:
+        find_isomorphism(k(3), k(3), budget=1)
+    assert str(err.value) == "isomorphism search exceeded 1 nodes"
+    assert (err.value.used, err.value.budget) == (2, 1)
+
+
 def test_large_embedding_small_budget_builds_nothing_quadratic():
     # Embedding candidates are merged from buckets of equal occurrence
     # profile as the search reaches each element: two edgeless 2,000-vertex

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,6 +87,17 @@ def test_enumeration_distinct_and_normalized():
         assert len(set(out)) == 200
         for e in out:
             assert not e.prefix.endswith(str(b))
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_enumeration_is_length_lex_over_normalized_prefixes(b):
+    # the reference lists every prefix of each length with product and
+    # keeps the normalized ones, sharing no code with enum_string
+    for max_len in range(10):
+        prefixes = ["".join(t) for n in range(max_len + 1) for t in product("01", repeat=n)]
+        expected = sorted((p for p in prefixes if not p.endswith(str(b))),
+                          key=lambda p: (len(p), p))
+        assert enumerate_elems(b, 1 << max_len) == [SElem(p, b) for p in expected]
 
 
 @given(st.integers(0, 1), st.integers(0, 500))
