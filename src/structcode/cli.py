@@ -235,6 +235,11 @@ def cmd_shelah(args) -> int:
 
 
 def cmd_limit_demo(args) -> int:
+    # counted before anything is built or printed
+    used = limits.chain_fact_count(args.stages)
+    if used > args.budget:
+        raise BudgetExhausted(f"limit-demo needs {used} decided facts, more than {args.budget}",
+                              used=used, budget=args.budget)
     approx = limits.Approximation.from_pattern(args.pattern)
 
     def term_str(term: str) -> str:
@@ -418,6 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", type=_pattern, required=True,
                    help="flip history bits, then constant")
     p.add_argument("--stages", type=_count, default=8)
+    p.add_argument("--budget", type=_count, default=budget,
+                   help="budget in decided facts over all stages, checked before building")
     p.set_defaults(fn=cmd_limit_demo)
 
     p = sub.add_parser("selftest", help="acceptance criteria and module checks")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import BudgetExhausted, DiGraph, FinStructure, Morphism, Signature, atoms
 from .search import is_embedding
@@ -200,18 +200,20 @@ class DecodeResult:
 def _tag_cycles(size: int, outdeg: list[int], succ: list[int]) -> list[list[int]]:
     """The cycles of v -> succ[v] on the vertices of out-degree 1, each in
     cycle order from its vertex first reached, in order of the walk that
-    found it. Each walk marks what it steps on and stops at a marked vertex,
-    so every vertex is stepped on once."""
-    walk_of = [0] * size  # 1 + the start of the walk that stepped on v
+    found it. A walk starts at each vertex of out-degree 1 that no walk has
+    stepped on, in vertex order; it marks what it steps on and stops at a
+    marked vertex, so every vertex is stepped on once."""
+    # state[v] is 1 while v has out-degree 1 and is unmarked; the walk from
+    # start marks with -1 - start, so the next start is a C-level index of 1
+    state = outdeg[:]
     cycles = []
-    for start in range(size):
-        if walk_of[start] or outdeg[start] != 1:
-            continue
+    for start in _positions(state, 1):
+        mark = -1 - start
         v = start
-        while not walk_of[v] and outdeg[v] == 1:
-            walk_of[v] = start + 1
+        while state[v] == 1:
+            state[v] = mark
             v = succ[v]
-        if walk_of[v] == start + 1:
+        if state[v] == mark:
             cycle = [v]
             w = succ[v]
             while w != v:
@@ -221,18 +223,32 @@ def _tag_cycles(size: int, outdeg: list[int], succ: list[int]) -> list[list[int]
     return cycles
 
 
+def _positions(values: list[int], x: int) -> Iterator[int]:
+    """Each index i with values[i] == x, in order. Each is found by a
+    C-level scan on from the one before, so values may change behind it."""
+    i = -1
+    while True:
+        try:
+            i = values.index(x, i + 1)
+        except ValueError:
+            return
+        yield i
+
+
 @lru_cache(maxsize=2)  # see encode
 def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
     """Decode any isomorphic copy of a coded graph; raises MalformedCoding.
 
     One pass over the edges gives each vertex its out-degree, successor and
-    in-neighbours, on integer arrays (a list only where the in-degree is 2
+    in-neighbour, on integer arrays (a list only where the in-degree is 2
     or more). The tag cycles are the cycles of v -> succ[v] on the vertices
     of out-degree 1, and the hubs their entries. The elements are hub a's
-    spokes in vertex order, and each junction's chains are walked back
-    through in-degree-1 vertices to the element they start at. Each
-    vertex's image, its number in encode of the decoded structure, is
-    written by arithmetic on encode's numbering (_layout), and g is
+    spokes in vertex order, read off the in-neighbour array, and each
+    junction's chains are walked back on that array through in-degree-1
+    vertices to the element they start at; no list is kept per chain, as
+    the image writes walk each chain again. Each vertex's image, its number
+    in encode of the decoded structure, is written by arithmetic on
+    encode's numbering (_layout), and g is
     accepted exactly when that image maps it bijectively onto the coding,
     edge set onto edge set. That check is the only judge: the reading
     before it only keeps the candidate well formed and the coding no
@@ -250,18 +266,25 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
     size = g.size
     outdeg = [0] * size
     succ = [0] * size  # the out-neighbour, where the out-degree is 1
-    pred = [-1] * size  # an in-neighbour
-    more: dict[int, list[int]] = {}  # the others, where the in-degree is 2 or more
+    # the in-neighbour where the in-degree is 1; -1 where it is 0, and -2
+    # where it is 2 or more, with the in-neighbours in inns
+    pred = [-1] * size
+    inns: dict[int, list[int]] = {}
     for u, v in g.edges:
         outdeg[u] += 1
         succ[u] = v
-        if pred[v] < 0:
+        p = pred[v]
+        if p == -1:
             pred[v] = u
+        elif p >= 0:
+            pred[v] = -2
+            inns[v] = [p, u]
         else:
-            more.setdefault(v, []).append(u)
+            inns[v].append(u)
 
     def inn(v: int) -> list[int]:
-        return [pred[v], *more.get(v, ())] if pred[v] >= 0 else []
+        p = pred[v]
+        return [p] if p >= 0 else inns[v] if p == -2 else []
 
     cycles = _tag_cycles(size, outdeg, succ)
     if len(cycles) != 3:
@@ -282,63 +305,70 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
     a, b, c = hubs[3], hubs[5], hubs[7]
     image[a], image[b], image[c] = 0, 1, 2
 
-    elements = sorted(v for u, v in g.edges if u == a and image[v] != CYCLE_START[3])
-    elem_index = {v: i for i, v in enumerate(elements)}
-    for v, i in elem_index.items():
-        image[v] = ELEM_BASE + i
+    # a's successors are the 3-cycle's entry vertex (in-degree 2), the
+    # vertices whose one in-neighbour is a, and any others of in-degree 2 or
+    # more; those are looked for only when the first two fall short of a's
+    # out-degree
+    entry = image.index(CYCLE_START[3])
+    elements = list(_positions(pred, a))
+    if len(elements) + 1 < outdeg[a]:
+        elements = sorted(elements + [v for v, us in inns.items() if a in us and v != entry])
+    # from here until the gadgets' images are written, image[v] >= ELEM_BASE
+    # exactly at the elements
+    for i, v in enumerate(elements, ELEM_BASE):
+        image[v] = i
 
-    expected: dict[tuple[int, ...], tuple[str, int, int]] = {}
+    expected: dict[tuple[int, ...], str] = {}  # relation by chain profile
     if sig is not None:
         offsets = chain_offsets(sig)
         # no gadget has more chains than the graph has vertices
-        expected = {interior_lengths(arity, offsets[name]): (name, arity, offsets[name])
+        expected = {interior_lengths(arity, offsets[name]): name
                     for name, arity in sig.relations if arity <= size}
 
     positive = set(inn(b))
     decided: dict[tuple[str, tuple[int, ...]], bool] = {}
-    # per gadget: relation, tuple, and its vertices in encode's order
-    gadgets: list[tuple[str, tuple[int, ...], list[int]]] = []
+    # per gadget: relation, tuple, junction, and (length, starting element,
+    # last node) of each chain in position order
+    gadgets: list[tuple[str, tuple[int, ...], int, list[tuple[int, int, int]]]] = []
     observed_arities: set[int] = set()
     for y in sorted(positive.union(inn(c))):
-        if pred[y] < 0:
+        if pred[y] == -1:
             raise MalformedCoding(f"junction {y} has no chains")
         chains = []
         for last in sorted(inn(y)):
-            interior = [last]
             node = last
+            length = 1
             while True:
-                if pred[node] < 0 or node in more:
+                p = pred[node]
+                if p < 0:
                     raise MalformedCoding(f"chain node {node} has in-degree {len(inn(node))}")
-                node = pred[node]
-                if node in elem_index:
+                if image[p] >= ELEM_BASE:
                     break
-                if outdeg[node] != 1 or len(interior) > size:
-                    raise MalformedCoding(f"bad chain predecessor {node}")
-                interior.append(node)
+                if outdeg[p] != 1 or length > size:
+                    raise MalformedCoding(f"bad chain predecessor {p}")
+                length += 1
+                node = p
             # the walk checked every other interior node's out-degree
             if outdeg[last] != 1:
                 raise MalformedCoding("chain node with out-degree != 1")
-            chains.append((len(interior), node, interior))
-        key = tuple(sorted(length for length, _, _ in chains))
+            chains.append((length, p, last))
+        chains.sort()
+        key = tuple([length for length, _, _ in chains])
         if sig is not None:
             if key not in expected:
                 raise MalformedCoding(f"chain profile {key} matches no relation")
-            name, arity, offset = expected[key]
+            name = expected[key]
         else:
             arity = len(key)
             if key != tuple(range(arity, 2 * arity)):
                 raise MalformedCoding(f"chain profile {key} is not a plain gadget")
-            name, offset = f"R{arity}", 0
+            name = f"R{arity}"
             observed_arities.add(arity)
-        # the profile's lengths are distinct, one per tuple position
-        by_length = {length: (starter, interior) for length, starter, interior in chains}
-        lengths = range(offset + arity, offset + 2 * arity)
-        tup = tuple(elem_index[by_length[length][0]] for length in lengths)
-        nodes = [y]
-        for length in lengths:
-            nodes.extend(reversed(by_length[length][1]))
+        # the profile's lengths are distinct, one per tuple position in
+        # order, so the sorted chains are in position order
+        tup = tuple([image[starter] - ELEM_BASE for _, starter, _ in chains])
         decided[(name, tup)] = y in positive
-        gadgets.append((name, tup, nodes))
+        gadgets.append((name, tup, y, chains))
 
     if sig is None:
         sig = Signature(tuple((f"R{i}", i) for i in sorted(observed_arities)))
@@ -357,13 +387,20 @@ def decode_full(g: DiGraph, sig: Optional[Signature] = None) -> DecodeResult:
     if coded_count != size:
         raise MalformedCoding(f"the coding of the decoded structure has {coded_count} vertices,"
                               f" the graph {size}")
-    for name, tup, nodes in gadgets:
+    for name, tup, y, chains in gadgets:
         first, width = bases[name]
         rank = 0  # tup's place in product order: its digits in base n
         for x in tup:
             rank = rank * n + x
-        for i, v in enumerate(nodes, first + rank * width):
-            image[v] = i
+        end = first + rank * width
+        image[y] = end
+        # each chain's interior again, from its last node back
+        for length, _, node in chains:
+            start = end
+            end += length
+            for i in range(end, start, -1):
+                image[node] = i
+                node = pred[node]
     if -1 in image:
         unclassified = [v for v in range(size) if image[v] == -1]
         raise MalformedCoding(f"unclassified vertices: {unclassified}")
@@ -393,8 +430,7 @@ def canonical_iso(s: FinStructure) -> Morphism:
     enc = encode(s)
     res = decode_full(enc.graph, s.sig)
     position = {v: i for i, v in enumerate(res.elements)}
-    mapping = {x: position[ELEM_BASE + x] for x in range(s.size)}
-    m = Morphism.from_mapping(s.size, res.structure.size, mapping)
+    m = Morphism.from_image(res.structure.size, [position[ELEM_BASE + x] for x in range(s.size)])
     if not (m.is_bijective() and is_embedding(s, res.structure, m)):
         raise MalformedCoding("round trip did not produce an isomorphism")
     return m
@@ -442,7 +478,7 @@ def lambda_graph(g: DiGraph, sig: Optional[Signature] = None) -> Morphism:
     decode_full builds it for its acceptance check, and accepts g only when
     it is a bijection carrying g's edges onto the coding's edges.
     """
-    return Morphism(g.size, g.size, tuple(enumerate(decode_full(g, sig).image)))
+    return Morphism.from_image(g.size, decode_full(g, sig).image)
 
 
 def is_graph_embedding(source: DiGraph, target: DiGraph, m: Morphism) -> bool:

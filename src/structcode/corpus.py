@@ -64,7 +64,7 @@ def random_permuted_copy(rng: random.Random, s: Struct) -> tuple[Struct, Morphis
     perm = list(range(s.size))
     rng.shuffle(perm)
     copy = _like(s, s.size, ((name, tuple(perm[x] for x in tup)) for name, tup in s.facts))
-    return copy, Morphism(s.size, s.size, tuple(enumerate(perm)))
+    return copy, Morphism.from_image(s.size, perm)
 
 
 def random_embedded_pair(
@@ -97,7 +97,7 @@ def random_induced_substructure(rng: random.Random, target: Struct) -> tuple[Str
     back = {v: i for i, v in enumerate(chosen)}
     source = _like(target, k, ((name, tuple(back[x] for x in tup))
                                for name, tup in target.facts if all(x in back for x in tup)))
-    return source, Morphism(k, target.size, tuple(enumerate(chosen)))
+    return source, Morphism.from_image(target.size, chosen)
 
 
 # the graph names of the two samplers above

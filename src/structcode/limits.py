@@ -94,6 +94,22 @@ def build_stage(approx: Approximation, i: int, s: int) -> StageStructure:
     return StageStructure(s, universe, tuple(sorted(facts)))
 
 
+def chain_fact_count(stages: int) -> int:
+    """How many facts build_stage decides at stages 0..stages together,
+    from the universe sizes alone, without building a stage.
+
+    Stage s >= 1 decides the strings of enum_string indices 0..s on each of
+    its 1 + s // 2 terms (a, and the strings of index <= s that end in 1), so
+    an even stage 2j decides (2j + 1)(j + 1) facts and an odd stage 2j - 1
+    decides 2j^2; the sums over j have closed forms.
+    """
+    assert stages >= 0
+    k, m = stages // 2, (stages + 1) // 2  # the even and the odd stages >= 1
+    even = k * (k + 1) * (2 * k + 1) // 3 + 3 * k * (k + 1) // 2 + k
+    odd = m * (m + 1) * (2 * m + 1) // 3
+    return even + odd
+
+
 def _prefix_holds(mu: str, a_bits: str, term: str) -> bool:
     """Is mu an initial segment of the string of F_term(a)?"""
     assert len(mu) <= len(a_bits)

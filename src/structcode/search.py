@@ -243,7 +243,7 @@ def _isomorphism_search(a: Structish, b: Structish, budget: int) -> Optional[Mor
                 image = [target[c] for c in color[:n]]
                 get = image.__getitem__
                 if all((name, tuple(map(get, tup))) in facts for name, tup in a.facts):
-                    return Morphism(n, n, tuple(enumerate(image)))
+                    return Morphism.from_image(n, image)
         # Unwind to the deepest frame with a candidate left, and take it.
         while stack:
             frame = stack[-1]
@@ -338,7 +338,7 @@ class _Searcher:
                     used=self.nodes, budget=self.budget,
                 )
             if len(stack) == len(self.order):
-                yield Morphism(n, self.m, tuple((x, pair[x] - n) for x in range(n)))
+                yield Morphism.from_image(self.m, [pair[x] - n for x in range(n)])
             else:
                 stack.append(iter(self.candidates(self.order[len(stack)])))
             # Move the deepest level to its next consistent candidate,

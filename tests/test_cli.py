@@ -405,6 +405,36 @@ def test_limit_demo():
     assert lines[-1] == "classification=S0"
 
 
+def test_limit_demo_budget_exits_2_before_printing(capsys, monkeypatch):
+    # stages 0-60 decide 39,245 facts in all, counted before any is built
+    argv = ["limit-demo", "--pattern", "0110101", "--stages", "60"]
+    code, out = run_cli(argv + ["--budget", "39244"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: limit-demo needs 39245 decided facts, more than 39244\n"
+    code, out = run_cli(argv + ["--budget", "39245"])
+    assert code == 0 and out == run_cli(argv)[1]
+    # the default is the search budget; 10^6 stages would take days to build
+    code, out = run_cli(["limit-demo", "--pattern", "01", "--stages", "1000000"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: limit-demo needs ")
+    monkeypatch.setenv("STRUCTCODE_BUDGET", "4")
+    assert run_cli(["limit-demo", "--pattern", "01", "--stages", "2"]) == (2, "")
+    assert run_cli(["limit-demo", "--pattern", "01", "--stages", "1"])[0] == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("graph 2\ne 0 2\n", "error: line 2, column 1: vertex 2 out of range (graph 2)\n"),
+    ("graph 3\ne 0 1\n# loop\ne 1 1\n", "error: line 4, column 1: self-loop (1,1) not permitted\n"),
+])
+def test_graph_file_errors_keep_their_messages(tmp_path, capsys, text, message):
+    # parse_graph reports these itself, with the line, before DiGraph checks
+    path = tmp_path / "bad.g"
+    path.write_text(text)
+    code, out = run_cli(["iso", "--left", str(path), "--right", str(path)])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == message
+
+
 def test_selftest_module_section():
     code, out = run_cli(["selftest", "limits", "--corpus-size", "5"])
     assert code == 0

@@ -326,6 +326,8 @@ MALFORMED = {
     "tuple_coded_twice": _rewired(
         TWO_UNARY, drop=[(ELEM1, CHAIN_R1)], add=[(ELEM0, CHAIN_R1)]),
     "missing_gadget": _rewired(TWO_UNARY, remove=[R1, CHAIN_R1]),
+    "chain_node_with_second_in_neighbour": _rewired(TWO_UNARY, add=[(C, CHAIN_R1)]),
+    "junction_without_chains": _rewired(TWO_UNARY, remove=[CHAIN_R1]),
 }
 
 
@@ -334,6 +336,36 @@ def test_local_fault_is_malformed(name):
     for sig in (SIG_R1, None):
         with pytest.raises(MalformedCoding):
             decode_full(MALFORMED[name], sig)
+
+
+# each fault's message, with and without the signature, as the decoder
+# gave them before it read spokes and chains off its in-neighbour array
+FAULT_MESSAGES = {
+    "cycles_share_a_hub": "1 gadgets are not one per tuple over 3 elements",
+    # the spoke of in-degree 2 is still an element, so only the final check sees the edge
+    "element_with_second_in_neighbour": "roles do not map the graph onto the coding of its decoding",
+    "hub_on_cycle": "expected 3 cycles of out-degree-1 vertices, found 2",
+    "junction_to_both_b_and_c": "roles do not map the graph onto the coding of its decoding",
+    "missing_gadget": "1 gadgets are not one per tuple over 2 elements",
+    "tuple_coded_twice": "1 gadgets are not one per tuple over 2 elements",
+    "chain_node_with_second_in_neighbour": "chain node 23 has in-degree 2",
+    "junction_without_chains": "junction 22 has no chains",
+    "chord_on_tag_cycle": "expected 3 cycles of out-degree-1 vertices, found 2",
+    "cycle_through_hub_a": "roles do not map the graph onto the coding of its decoding",
+    "fourth_cycle_through_out_degree_2": "roles do not map the graph onto the coding of its decoding",
+    "in_degree_1_loop_feeds_junction": "bad chain predecessor 26",
+    "tag_cycles_joined": "expected 3 cycles of out-degree-1 vertices, found 1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_MESSAGES))
+def test_fault_messages_are_pinned(name):
+    g = {**MALFORMED, **CYCLE_FAULTS}[name]
+    for sig in (SIG_R1, None):
+        decode_full.cache_clear()
+        with pytest.raises(MalformedCoding) as exc:
+            decode_full(g, sig)
+        assert str(exc.value) == FAULT_MESSAGES[name]
 
 
 def test_many_spokes_are_rejected_before_encoding_their_gadgets():

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from structcode import coding, core, corpus
+from structcode import coding, core, corpus, search
 from structcode.core import (
     AtomOracle,
     BudgetExhausted,
@@ -176,6 +176,79 @@ def test_morphism_rejects_each_violation(pairs, error):
     else:
         with pytest.raises(ValueError, match=error):
             Morphism(2, 2, pairs)
+
+
+def test_total_map_constructor_equals_the_public_one():
+    rng = random.Random("from-image")
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        m = n + rng.randint(0, 3)
+        image = rng.sample(range(m), n)
+        total = Morphism.from_image(m, image)
+        assert total == Morphism(n, m, tuple(enumerate(image)))
+        assert total.is_total() and total.mapping() == dict(enumerate(image))
+    assert Morphism.from_image(0, []) == Morphism(0, 0, ())
+    assert Morphism.from_image(3, ()) == Morphism(0, 3, ())
+
+
+@pytest.mark.parametrize("target_size, image, error", [
+    (3, [0, 2, 0], "injective"),
+    (2, [1, 1], "injective"),
+    (2, [0, 2], "range"),
+    (3, [1, -1], "range"),
+    (0, [0], "range"),
+])
+def test_total_map_constructor_rejects_bad_images(target_size, image, error):
+    with pytest.raises(ValueError, match=error):
+        Morphism.from_image(target_size, image)
+    # the public constructor rejects the same maps
+    with pytest.raises(ValueError, match=error):
+        Morphism(len(image), target_size, tuple(enumerate(image)))
+
+
+def test_verifiers_do_not_build_total_maps(monkeypatch):
+    # is_embedding, is_isomorphism and decode_full's acceptance check keep
+    # their own checks: with the total-map constructor broken they still pass
+    rng = random.Random(41)
+    s = corpus.random_structure(rng, max_size=4)
+    g = coding.encode(s).graph
+
+    def broken(cls, target_size, image):
+        raise AssertionError("total-map constructor called")
+
+    monkeypatch.setattr(Morphism, "from_image", classmethod(broken))
+    coding.decode_full.cache_clear()
+    res = coding.decode_full(g, s.sig)
+    assert res.structure == s
+    ident = Morphism(s.size, s.size, tuple((x, x) for x in range(s.size)))
+    assert search.is_embedding(s, res.structure, ident)
+    assert search.is_isomorphism(s, res.structure, ident)
+    with pytest.raises(AssertionError, match="total-map"):
+        coding.lambda_graph(g, s.sig)
+
+
+@pytest.mark.parametrize("size, edges, message", [
+    (3, [(0, 1), (-1, 2)], "edge (-1,2) out of range"),
+    (3, [(0, 1), (2, 3)], "edge (2,3) out of range"),
+    (3, [(3, 0)], "edge (3,0) out of range"),
+    (0, [(0, 0)], "edge (0,0) out of range"),  # out of range is reported before a loop
+    (3, [(1, 2), (2, 2)], "self-loop (2,2) not permitted"),
+])
+def test_digraph_validation_messages(size, edges, message):
+    with pytest.raises(ValueError) as exc:
+        DiGraph.of(size, edges)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        DiGraph(size, frozenset(edges))
+    assert str(exc.value) == message
+
+
+def test_digraph_allows_loops_when_asked():
+    g = DiGraph.of(3, [(0, 0), (0, 1), (2, 2)], allow_loops=True)
+    assert g.has_edge(0, 0) and g.has_edge(2, 2)
+    with pytest.raises(ValueError) as exc:
+        DiGraph.of(3, [(0, 3), (1, 1)], allow_loops=True)
+    assert str(exc.value) == "edge (0,3) out of range"
 
 
 def test_morphism_compose_and_invert():

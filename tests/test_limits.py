@@ -5,6 +5,7 @@ from structcode import corpus
 from structcode.limits import (
     Approximation,
     build_stage,
+    chain_fact_count,
     classify_limit,
     decided_bound,
     is_substage,
@@ -148,3 +149,14 @@ def test_decided_bound_matches_its_definition():
     for s in range(201):
         stage = build_stage(approx, 0, s)
         assert decided_bound(stage) == decided_by_definition(stage), s
+
+
+def test_chain_fact_count_matches_the_stages():
+    # the budget count of limit-demo: every fact of every stage, summed
+    # over stages built one by one
+    approx = Approximation.from_pattern("0110")
+    total = 0
+    for s in range(61):
+        stage = build_stage(approx, 0, s)
+        total += len(stage.facts)
+        assert chain_fact_count(s) == total, s
