@@ -157,7 +157,7 @@ def encode(s: FinStructure, budget: Optional[int] = None) -> CodedGraph:
             edges.append((end - 1, y))
             v = end
         edges.append((y, b if s.holds(name, tup) else c))
-    return CodedGraph(DiGraph(v, frozenset(edges)), s)
+    return CodedGraph(DiGraph._built(v, frozenset(edges)), s)
 
 
 def _roles(s: FinStructure) -> list[Role]:

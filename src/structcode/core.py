@@ -201,6 +201,19 @@ class DiGraph:
     def of(cls, size: int, edges: Iterable[tuple[int, int]] = (), allow_loops: bool = False) -> "DiGraph":
         return cls(size, frozenset((u, v) for u, v in edges), allow_loops)
 
+    @classmethod
+    def _built(cls, size: int, edges: frozenset[tuple[int, int]]) -> "DiGraph":
+        """The value DiGraph(size, edges) without __post_init__'s per-edge
+        check, for edges in range and loop-free by construction (coding.encode).
+
+        The public constructor, of and parse_graph keep the check; the
+        verifiers and decode_full's acceptance check do not use this.
+        """
+        g = cls.__new__(cls)
+        # the caller vouches for the edges, so __init__ is skipped
+        vars(g).update(size=size, edges=edges, allow_loops=False)
+        return g
+
     @cached_property
     def facts(self) -> frozenset[Fact]:
         return frozenset(zip(repeat("E"), self.edges))
@@ -344,10 +357,13 @@ class AtomOracle:
     def elements(self, n: int) -> list:
         return [self.element(i) for i in range(self.element_count(n))]
 
+    def relation_count(self, bound: int) -> int:
+        """How many relations relations(bound) yields."""
+        return max(0, bound if self.num_relations is None else min(bound, self.num_relations))
+
     def relations(self, bound: int) -> Iterator[tuple[str, int]]:
         """The first bound relations, enumerated lazily so a caller can stop early."""
-        cap = bound if self.num_relations is None else min(bound, self.num_relations)
-        return map(self.relation, range(cap))
+        return map(self.relation, range(self.relation_count(bound)))
 
 
 def oracle_of_structure(s: FinStructure) -> AtomOracle:
@@ -378,14 +394,21 @@ def restrict(
     without keeping them, so the relation that goes over is the last one
     asked for and memory does not grow with the budget; a second pass
     collects them. A relation counts at least 1, so with no elements the
-    budget still stops an infinite or long enumeration of relations.
+    budget still stops an infinite or long enumeration of relations. On 0
+    or 1 elements every relation counts exactly 1, so the count is the
+    number of relations and no relation is enumerated to find it.
     """
     if rel_bound is None:
         if oracle.num_relations is None:
             raise ValueError("rel_bound required for an infinite signature")
         rel_bound = oracle.num_relations
     cap = oracle.element_count(n)
-    if query_budget is not None:
+    if query_budget is not None and cap <= 1:
+        if oracle.relation_count(rel_bound) > query_budget:
+            # counted one by one, the relations would trip at max(budget, 0) + 1
+            raise BudgetExhausted(f"restrict exceeded {query_budget} oracle queries",
+                                  used=max(query_budget, 0) + 1, budget=query_budget)
+    elif query_budget is not None:
         tuples = 0
         for _, arity in oracle.relations(rel_bound):
             tuples += cap ** arity or 1

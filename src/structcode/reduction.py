@@ -12,6 +12,8 @@ hunting for a generator trace inside each block.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
+from math import isqrt
 from typing import Callable, Iterator, Optional
 
 from .core import (
@@ -110,11 +112,12 @@ def build_f(edge_oracle: EdgeOracle) -> AtomOracle:
     given a pure edge oracle; it decomposes only the arguments it needs, and
     stays independent of the lister so that tests and the brute-force
     restrict can check one against the other. The fact lister unpairs each
-    handle once, into (part, k), and each block's part - 1 once per block,
-    without decompose. It reads W, N and O off the vertex markers and
-    blocks it finds, blocks in order of first appearance and members in
-    handle order, and builds block elements only for the tag relations,
-    which shelah.tag_facts lists block by block.
+    handle once, into (part, k), with the square root inline rather than a
+    call, and each block's part - 1 once per block, without decompose. It
+    looks up a block's marker positions once and reads W, N and O off the
+    vertex markers and blocks it finds, blocks in order of first appearance
+    and members in handle order, and builds block elements only for the
+    tag relations, which shelah.tag_facts lists block by block.
     """
 
     def holds(name: str, tup: tuple) -> bool:
@@ -151,31 +154,42 @@ def build_f(edge_oracle: EdgeOracle) -> AtomOracle:
         vertices: dict[int, int] = {}
         parts: dict[int, dict[int, int]] = {}  # part -> {k: position}
         for i, code in enumerate(handles):
-            part, k = cantor_unpair(code)
+            w = (isqrt(8 * code + 1) - 1) // 2  # cantor_unpair, inline
+            k = code - w * (w + 1) // 2
+            part = w - k
             if part == 0:
                 vertices[k] = i
+            elif part in parts:
+                parts[part][k] = i
             else:
-                parts.setdefault(part, {})[k] = i
-        blocks = [(cantor_unpair(part - 1), members) for part, members in parts.items()]
+                parts[part] = {k: i}
+        # (m, n, m's marker position, n's, members); None where no marker
+        blocks = []
+        for part, members in parts.items():
+            m, n = cantor_unpair(part - 1)
+            blocks.append((m, n, vertices.get(m), vertices.get(n), members))
         tag_rels = []
         for name, arity in rels:
             if name == "W":
-                yield from ((name, (i,)) for i in vertices.values())
+                for i in vertices.values():
+                    yield name, (i,)
             elif name == "N":
-                for (m, _), members in blocks:
-                    if m in vertices:
-                        yield from ((name, (vertices[m], i)) for i in members.values())
+                for _, _, x, _, members in blocks:
+                    if x is not None:
+                        for i in members.values():
+                            yield name, (x, i)
             elif name == "O":
-                for (m, n), members in blocks:
-                    if m in vertices and n in vertices:
-                        yield from ((name, (vertices[m], vertices[n], i)) for i in members.values())
+                for _, _, x, y, members in blocks:
+                    if x is not None and y is not None:
+                        for i in members.values():
+                            yield name, (x, y, i)
             else:
                 tag_rels.append((name, arity))
         if tag_rels:
             yield from shelah.tag_facts(
                 (
                     {_block_elem(edge_oracle, m, n, k): i for k, i in members.items()}
-                    for (m, n), members in blocks
+                    for m, n, _, _, members in blocks
                 ),
                 tag_rels,
             )
@@ -266,18 +280,24 @@ def classify_block(
     return UNKNOWN
 
 
-def _judge_trace(trace: set, nu_bound: int, j) -> Optional[str]:
+def _judge_trace(
+    trace: set, nu_bound: int, j, generators: Optional[tuple[set, set]] = None
+) -> Optional[str]:
     """Map a distinguishing trace to a tag, None when indecisive.
 
+    generators, when given, are the two generator traces at nu_bound, so
+    that a caller judging many traces builds them once.
     At bound 0 both generator traces are {""}, so no trace is decisive.
     """
     if nu_bound == 0:
         return None
     if "0" * nu_bound in trace and "1" * nu_bound in trace:
         raise ContradictoryEvidence(f"element {j!r} carries both generator traces")
-    if trace == shelah.generator_trace(0, nu_bound):
+    if generators is None:
+        generators = (shelah.generator_trace(0, nu_bound), shelah.generator_trace(1, nu_bound))
+    if trace == generators[0]:
         return S0
-    if trace == shelah.generator_trace(1, nu_bound):
+    if trace == generators[1]:
         return S1
     return None
 
@@ -367,39 +387,46 @@ def decode_f(
 
 
 def _decode_listed(oracle: AtomOracle, k: int, nu_bound: int, budget: int, limit: int) -> DiGraph:
-    """decode_f on an oracle with a fact lister: one listing of W and O.
+    """decode_f on an oracle with a fact lister: one listing of W and O,
+    and the traces listed a batch at a time.
 
     The vertex markers are the first k W points. Each marker pair collects
     the sorted points, not W points, that carry its O fact, and the pairs
     are walked on a heap keyed by (next point, pair). So points come in
     index order, each is inspected once, for the least of its undecided
     pairs, as in the decider loop, and the walk costs one heap step per
-    pair and point inspected or passed over, not one per scanned point. An
-    inspected point's trace is listed rather than asked relation by
-    relation.
+    pair and point inspected or passed over, not one per scanned point.
+    When the point at the heap's head has no trace yet, one listing of the
+    R facts gives the traces of every point then at the head of a pair's
+    walk and still without one; on a conforming oracle every pair is
+    decided at its first point, so that is the only trace listing. A trace
+    is judged only when its point is inspected.
     """
-    handles = [oracle.element(i) for i in range(limit)]
+    handles = list(map(oracle.element, range(limit)))
     w_points: set[int] = set()
-    o_facts = []
+    o_points: defaultdict[tuple[int, int], list[int]] = defaultdict(list)  # (x, y) -> the js of O(x, y, j)
     for name, tup in oracle.facts(handles, [("W", 1), ("O", 3)]):
         if name == "W":
             w_points.add(tup[0])
         else:
-            o_facts.append(tup)
+            x, y, j = tup
+            o_points[x, y].append(j)
     markers = sorted(w_points)[:k]
     if len(markers) < k:
         raise DecodeIncomplete(
             [(m, n) for m in range(k) for n in range(k)], DiGraph.of(0)
         )
     vertex = {idx: m for m, idx in enumerate(markers)}
-    points_of: dict[tuple[int, int], list[int]] = {}
-    for x, y, j in o_facts:
-        if x in vertex and y in vertex and j not in w_points:
-            points_of.setdefault((vertex[x], vertex[y]), []).append(j)
+    walks = {}
+    for (x, y), points in o_points.items():
+        if x in vertex and y in vertex:
+            points = sorted(j for j in points if j not in w_points)
+            if points:
+                walks[vertex[x], vertex[y]] = iter(points)
 
-    nu_of ={shelah.rel_name("R", nu): nu for nu in all_strings(nu_bound)}
+    nu_of = {shelah.rel_name("R", nu): nu for nu in all_strings(nu_bound)}
     r_rels = [(name, 1) for name in nu_of]
-    walks = {pair: iter(sorted(points)) for pair, points in points_of.items()}
+    generators = (shelah.generator_trace(0, nu_bound), shelah.generator_trace(1, nu_bound))
     heap = [(next(walk), pair) for pair, walk in walks.items()] if budget > 0 else []
     heapq.heapify(heap)
 
@@ -408,13 +435,19 @@ def _decode_listed(oracle: AtomOracle, k: int, nu_bound: int, budget: int, limit
         if j is not None:
             heapq.heappush(heap, (j, pair))
 
+    traces: dict[int, set[str]] = {}
     decided: dict[tuple[int, int], str] = {}
     inspected: dict[tuple[int, int], int] = {}
     while heap:
         j, pair = heapq.heappop(heap)
+        if j not in traces:
+            batch = sorted({j, *(h for h, _ in heap if h not in traces)})
+            for i in batch:
+                traces[i] = set()
+            for name, (i,) in oracle.facts([handles[i] for i in batch], r_rels):
+                traces[batch[i]].add(nu_of[name])
         inspected[pair] = inspected.get(pair, 0) + 1
-        trace = {nu_of[name] for name, _ in oracle.facts([handles[j]], r_rels)}
-        tag = _judge_trace(trace, nu_bound, handles[j])
+        tag = _judge_trace(traces[j], nu_bound, handles[j], generators)
         if tag is not None:
             decided[pair] = tag
         elif inspected[pair] < budget:  # else its inspections are spent: Unknown

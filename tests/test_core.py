@@ -227,6 +227,48 @@ def test_verifiers_do_not_build_total_maps(monkeypatch):
         coding.lambda_graph(g, s.sig)
 
 
+def test_built_graph_equals_the_public_one():
+    # encode fills its graph in without the per-edge check; the value is
+    # the one the public constructor makes of the same edges
+    rng = random.Random("built-graph")
+    for _ in range(60):
+        g = coding.encode(corpus.random_structure(rng, max_size=4)).graph
+        public = DiGraph(g.size, g.edges)
+        assert g == public and hash(g) == hash(public) and g.facts == public.facts
+        assert not g.allow_loops
+    for _ in range(60):
+        h = corpus.random_graph(rng, max_size=6)
+        built = DiGraph._built(h.size, h.edges)
+        assert built == h and built.facts == h.facts and built.holds("E", (0, 1)) == h.has_edge(0, 1)
+    assert DiGraph._built(0, frozenset()) == DiGraph.of(0)
+
+
+def test_verifiers_do_not_build_unchecked_graphs(monkeypatch):
+    # the public constructors and the verifiers keep their checks: with the
+    # unchecked constructor broken they still work, and only encode fails
+    rng = random.Random(43)
+    s = corpus.random_structure(rng, max_size=4)
+    g = coding.encode(s).graph  # kept in encode's cache for decode_full
+
+    def broken(cls, size, edges):
+        raise AssertionError("unchecked graph constructor called")
+
+    monkeypatch.setattr(DiGraph, "_built", classmethod(broken))
+    coding.decode_full.cache_clear()
+    res = coding.decode_full(g, s.sig)
+    assert res.structure == s
+    copy = DiGraph.of(g.size, g.edges)
+    ident = Morphism.identity(g.size)
+    assert search.is_isomorphism(g, copy, ident) and search.is_embedding(g, copy, ident)
+    assert coding.is_graph_embedding(g, copy, ident)
+    assert parse_graph(serialize_graph(g)) == g
+    with pytest.raises(ValueError, match="out of range"):
+        DiGraph.of(2, [(0, 2)])
+    coding.encode.cache_clear()
+    with pytest.raises(AssertionError, match="unchecked"):
+        coding.encode(s)
+
+
 @pytest.mark.parametrize("size, edges, message", [
     (3, [(0, 1), (-1, 2)], "edge (-1,2) out of range"),
     (3, [(0, 1), (2, 3)], "edge (2,3) out of range"),
@@ -361,6 +403,32 @@ def test_restrict_budget_counts_each_relation_on_no_points():
     assert (err.value.used, err.value.budget) == (1001, 1000)
     s = restrict(build_f_graph(DiGraph.of(2, [(0, 1)])), 0, rel_bound=3, query_budget=3)
     assert (s.size, s.facts, len(s.sig.relations)) == (0, frozenset(), 3)
+
+
+@pytest.mark.parametrize("points", [0, 1])
+def test_restrict_budget_on_at_most_one_point_enumerates_no_relation(points):
+    # on 0 or 1 points each relation counts 1, so the count is the number
+    # of relations; enumerating them one by one took 8.1 s to reject
+    # restrict(build_f_graph(g), 0, reduction_rel_bound(60), query_budget=10**7)
+    asked = []
+
+    def relation(i):
+        asked.append(i)
+        return f"U{i}", i % 3 + 1
+
+    for num_relations in (None, 10**5 + 1, 10**5 + 7):
+        oracle = AtomOracle(relation=relation, element=lambda i: i,
+                            holds=lambda name, tup: True, num_relations=num_relations)
+        with pytest.raises(BudgetExhausted, match="restrict exceeded 100000 oracle queries") as err:
+            restrict(oracle, points, rel_bound=10**18, query_budget=10**5)
+        assert (err.value.used, err.value.budget) == (10**5 + 1, 10**5)
+        assert asked == []
+    # at the budget itself the relations are enumerated, to build the structure
+    oracle = AtomOracle(relation=relation, element=lambda i: i,
+                        holds=lambda name, tup: True, num_relations=5)
+    s = restrict(oracle, points, rel_bound=10**18, query_budget=5)
+    assert len(s.sig.relations) == 5 and len(s.facts) == 5 * points
+    assert asked == list(range(5))
 
 
 def test_restrict_budget_keeps_no_relation_before_it_trips():

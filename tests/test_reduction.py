@@ -507,6 +507,72 @@ def test_pair_walk_matches_decider_loop_on_random_inputs():
     assert outcomes == {"graph", "incomplete", "contradiction"}
 
 
+def _shuffled(lister, rng):
+    """The lister with each listing's facts in an order drawn from rng."""
+
+    def facts(handles, rels):
+        listed = list(lister(handles, rels))
+        rng.shuffle(listed)
+        return iter(listed)
+
+    return facts
+
+
+def test_listed_decode_does_not_depend_on_lister_order():
+    # the lister contract promises no order: with every listing shuffled,
+    # the listed decode still equals the decider loop, contradictions and
+    # incomplete decodes included
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(60):
+        g = corpus.random_graph(rng, max_size=5)
+        k = rng.randint(0, g.size + 1)
+        kwargs = dict(nu_bound=rng.randint(1, 3), budget=rng.choice([1, 2, 50]))
+        oracle = build_f_graph(g)
+        listing = dataclasses.replace(oracle, holds=_no_holds, facts=_shuffled(oracle.facts, rng))
+        expected = _decode_outcome(dataclasses.replace(oracle, facts=None), k, **kwargs)
+        assert _decode_outcome(listing, k, **kwargs) == expected
+        outcomes.add(expected[0] if isinstance(expected, tuple) else "graph")
+    for _ in range(300):
+        s = _random_decode_input(rng)
+        oracle = oracle_of_structure(s)
+        listing = dataclasses.replace(oracle, facts=_shuffled(_sweeping_lister(oracle.holds), rng))
+        k = rng.randint(1, 3)
+        kwargs = dict(nu_bound=1, budget=rng.randint(1, 3),
+                      scan_cap=rng.randint(s.size // 2, s.size + 2))
+        expected = _decode_outcome(oracle, k, **kwargs)
+        assert _decode_outcome(listing, k, **kwargs) == expected
+        outcomes.add(expected[0] if isinstance(expected, tuple) else "graph")
+    assert outcomes == {"graph", "incomplete", "contradiction"}
+
+
+def test_listed_decode_lists_traces_once_per_batch(monkeypatch):
+    # a conforming 6-vertex graph: one listing of W and O, then one of the
+    # traces of the 36 marker pairs' first points, each of them decisive
+    g = DiGraph.of(6, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 5), (4, 0)], allow_loops=True)
+    oracle = build_f_graph(g)
+    listings, judged = [], []
+
+    def facts(handles, rels):
+        listings.append((len(handles), [name for name, _ in rels]))
+        return oracle.facts(handles, rels)
+
+    judge = reduction._judge_trace
+
+    def counting(*args, **kwargs):
+        judged.append(args[2])
+        return judge(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_judge_trace", counting)
+    listing = dataclasses.replace(oracle, holds=_no_holds, facts=facts)
+    assert decode_f(listing, 6, nu_bound=3) == g
+    assert listings == [
+        (default_scan_cap(6), ["W", "O"]),
+        (36, [shelah.rel_name("R", nu) for nu in all_strings(3)]),
+    ]
+    assert sorted(judged) == sorted(block_code(m, n, 0) for m in range(6) for n in range(6))
+
+
 def _raises(*args):
     raise AssertionError("the tag-fact lister called a tag decider")
 
